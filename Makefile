@@ -25,8 +25,12 @@ test:
 
 # -short here skips the chaos e2e, which gets its own race-enabled
 # target below — no point running the slowest test twice per check.
+# The pipeline package runs again at -cpu 1,4 so the sharded assembler
+# (one shard per GOMAXPROCS) takes its single- and multi-shard paths
+# even on a small CI runner.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -short -cpu 1,4 ./internal/pipeline/
 
 # The fault-tolerance gate: kill and restart a reader mid-run over real
 # TCP with injected link faults, under the race detector. Degraded

@@ -343,9 +343,11 @@ func benchSnapshotMatrix(tb testing.TB) (*cmatrix.Matrix, *rf.Array) {
 
 // BenchmarkMusicSpectrum measures one MUSIC spectrum on a realistic
 // snapshot matrix. nocache replays the pre-steering-table pipeline
-// (per-angle SteeringSub + fresh scratch everywhere) from the public
-// primitives; cached is the table-backed entry point; workspace adds
-// scratch reuse on top. All three produce bit-identical spectra.
+// (per-angle SteeringSub, the direct ‖Uₙᴴa‖² denominator, fresh scratch
+// everywhere) from the public primitives; cached is the table-backed
+// entry point with the diagonal-collapsed scan; workspace adds scratch
+// reuse on top. cached and workspace are bit-identical; nocache agrees
+// with them within the scan's tier-2 tolerance (DESIGN.md).
 func BenchmarkMusicSpectrum(b *testing.B) {
 	x, arr := benchSnapshotMatrix(b)
 	l := music.DefaultSubarray(arr.Elements)

@@ -113,6 +113,7 @@ const DefaultSourceThreshold = 10.0
 type Result struct {
 	Angles   []float64       // scanned angles, radians
 	Spectrum []float64       // MUSIC pseudo-spectrum B(θ) (Eq. 8)
+	Beam     []float64       // beamformer power aᴴ·R̂·a/M² of the unsmoothed R̂ (Eq. 13)
 	Sources  int             // estimated source count P
 	Noise    *cmatrix.Matrix // L×Q noise subspace Uₙ (columns)
 	Eigen    *cmatrix.Eigen  // full eigendecomposition of the smoothed R
@@ -149,7 +150,8 @@ func (o Options) withDefaults(m int) Options {
 
 // Compute runs MUSIC on an N×M snapshot matrix for the given array:
 // correlation, forward-backward smoothing, eigendecomposition, source
-// estimation and the pseudo-spectrum scan of Eq. 8.
+// estimation and the pseudo-spectrum scan of Eq. 8, with the Eq. 13
+// beamformer power evaluated in the same scan.
 func Compute(x *cmatrix.Matrix, arr *rf.Array, opts Options) (*Result, error) {
 	if x.Cols != arr.Elements {
 		return nil, fmt.Errorf("%w: %d columns for %d-element array", ErrBadInput, x.Cols, arr.Elements)
@@ -162,12 +164,12 @@ func Compute(x *cmatrix.Matrix, arr *rf.Array, opts Options) (*Result, error) {
 }
 
 // ComputeFromCorrelation runs the MUSIC stages after correlation; use it
-// when the correlation matrix is accumulated incrementally. The
-// pseudo-spectrum scan consumes the shared precomputed steering table
-// for the array — bit-identical to evaluating Array.SteeringSub at every
-// grid angle, without the per-angle cmplx.Exp calls or allocations.
-// Repeated callers should hold a Workspace instead, which also reuses
-// the smoothing and eigendecomposition scratch.
+// when the correlation matrix is accumulated incrementally. The scan
+// consumes the shared precomputed steering table for the array —
+// bit-identical to evaluating Array.Steering at every grid angle,
+// without the per-angle cmplx.Exp calls or allocations. Repeated
+// callers should hold a Workspace instead, which also reuses the
+// smoothing and eigendecomposition scratch.
 func ComputeFromCorrelation(r *cmatrix.Matrix, arr *rf.Array, opts Options) (*Result, error) {
 	ws, err := NewWorkspace(arr, opts)
 	if err != nil {
@@ -176,29 +178,14 @@ func ComputeFromCorrelation(r *cmatrix.Matrix, arr *rf.Array, opts Options) (*Re
 	return ws.ComputeFromCorrelation(r)
 }
 
-// pseudoSpectrum evaluates 1 / (aᴴ·Uₙ·Uₙᴴ·a) for a steering vector a.
-func pseudoSpectrum(a []complex128, noise *cmatrix.Matrix) float64 {
-	denom := noiseProjection(a, noise)
-	if denom < 1e-18 {
-		denom = 1e-18
-	}
-	return 1 / denom
-}
-
 // ProjectionOntoNoise returns ‖a(θ)ᴴ·Uₙ‖² — the calibration objective's
 // per-tag term (Eq. 10) — for a steering vector already multiplied by
-// any phase-offset correction.
+// any phase-offset correction. Such vectors are not Vandermonde, so
+// this is the direct form: one register-accumulated dot product per
+// noise column, with strided indexing into the subspace data. The
+// pseudo-spectrum scan evaluates the same quantity in diagonal-folded
+// form instead (see diagonalForm).
 func ProjectionOntoNoise(a []complex128, noise *cmatrix.Matrix) float64 {
-	return noiseProjection(a, noise)
-}
-
-// noiseProjection computes ‖aᴴ·Uₙ‖² — the pseudo-spectrum grid's inner
-// kernel, evaluated once per scan angle, so it is written for the
-// scalar hot path: each column dot accumulates in a register with
-// direct strided indexing into the subspace data instead of At()
-// calls. The per-column summation order (ascending row) is unchanged,
-// so the result is bit-identical to the naive double loop.
-func noiseProjection(a []complex128, noise *cmatrix.Matrix) float64 {
 	rows, q := noise.Rows, noise.Cols
 	data := noise.Data
 	a = a[:rows]
@@ -213,6 +200,77 @@ func noiseProjection(a []complex128, noise *cmatrix.Matrix) float64 {
 		s += real(dot)*real(dot) + imag(dot)*imag(dot)
 	}
 	return s
+}
+
+// diagonalForm is a Hermitian n×n matrix H folded for evaluating the
+// quadratic form aᴴ·H·a at uniform-linear-array steering vectors.
+// There ω(m,θ) is linear in m, so conj(aᵢ)·aₖ depends only on the
+// separation d = k−i and equals a_d. Grouping the terms of aᴴHa by
+// diagonal, and pairing each upper diagonal with its Hermitian mirror,
+// gives
+//
+//	aᴴ·H·a = tr(H) + 2·Σ_{d=1}^{n−1} Re(c_d·a_d),   c_d = Σᵢ H[i,i+d]
+//
+// The trace and the diagonal sums c_d are folded once per matrix; each
+// evaluation (Workspace.scan) then costs n−1 real pairs instead of the
+// n² (or n·Q for a rank-Q projector) terms of the direct form. The
+// result agrees with the direct form to rounding of tr(H) (tier 2 of
+// the DESIGN.md tolerance policy). A form reuses its storage across
+// folds of the same size.
+type diagonalForm struct {
+	trace float64
+	sums  []complex128 // sums[d] = c_d for d = 1..n−1; sums[0] unused
+}
+
+// size readies the diagonal sums for an n×n matrix.
+func (f *diagonalForm) size(n int) {
+	if cap(f.sums) < n {
+		f.sums = make([]complex128, n)
+	}
+	f.sums = f.sums[:n]
+}
+
+// fold folds a square matrix h; only its diagonal and upper triangle
+// are read.
+func (f *diagonalForm) fold(h *cmatrix.Matrix) {
+	n := h.Rows
+	f.size(n)
+	var tr float64
+	for i := 0; i < n; i++ {
+		tr += real(h.Data[i*n+i])
+	}
+	f.trace = tr
+	for d := 1; d < n; d++ {
+		var c complex128
+		for i := 0; i+d < n; i++ {
+			c += h.Data[i*n+i+d]
+		}
+		f.sums[d] = c
+	}
+}
+
+// foldProjector folds the projector P = U·Uᴴ onto the columns of u
+// (n×q) without forming P: tr(P) = Σᵢⱼ |U[i,j]|² and
+// c_d = Σᵢ Σⱼ U[i,j]·conj(U[i+d,j]).
+func (f *diagonalForm) foldProjector(u *cmatrix.Matrix) {
+	n, q := u.Rows, u.Cols
+	f.size(n)
+	data := u.Data
+	var tr float64
+	for _, v := range data {
+		tr += real(v)*real(v) + imag(v)*imag(v)
+	}
+	f.trace = tr
+	for d := 1; d < n; d++ {
+		var c complex128
+		for i := 0; i+d < n; i++ {
+			top, bot := data[i*q:(i+1)*q], data[(i+d)*q:(i+d+1)*q]
+			for j, v := range top {
+				c += v * cmplx.Conj(bot[j])
+			}
+		}
+		f.sums[d] = c
+	}
 }
 
 // Peak is a local maximum of a spectrum.

@@ -10,10 +10,11 @@ import (
 
 // Workspace is the reusable per-worker state for repeated MUSIC runs
 // against one array with fixed options: the shared steering table plus
-// correlation, smoothing, and Jacobi scratch. A steady-state spectrum
-// computes with near-zero heap allocation — only the escaping Result
-// (spectrum, noise subspace, eigendecomposition) is freshly allocated,
-// so results stay valid forever and may be retained by callers.
+// correlation, smoothing, eigensolver and scan scratch. A steady-state
+// spectrum computes with near-zero heap allocation — only the escaping
+// Result (spectrum, beam, noise subspace, eigendecomposition) is
+// freshly allocated, so results stay valid forever and may be retained
+// by callers.
 //
 // A Workspace is not safe for concurrent use; give each goroutine its
 // own. The steering table underneath is shared process-wide and
@@ -27,6 +28,9 @@ type Workspace struct {
 	row  []complex128    // snapshot row scratch
 	sm   *cmatrix.Matrix // L×L smoothed matrix (nil when NoSmoothing)
 	eig  cmatrix.EigenWorkspace
+
+	proj diagonalForm // noise projector UₙUₙᴴ, folded per spectrum
+	beam diagonalForm // correlation R̂, folded per spectrum
 }
 
 // NewWorkspace resolves the options for the array and precomputes (or
@@ -56,16 +60,8 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 	return w, nil
 }
 
-// Table exposes the steering table so P-MUSIC's beamformer can reuse
-// the same precomputed weights.
-func (w *Workspace) Table() *rf.SteeringTable { return w.tab }
-
-// Correlation exposes the M×M correlation accumulator filled by the
-// last Compute call, so P-MUSIC's beamformer can evaluate Eq. 13 in the
-// correlation domain (PB = aᴴ·R̂·a / M²) without a second pass over the
-// snapshots. The matrix is workspace scratch: read-only, valid until
-// the next Compute.
-func (w *Workspace) Correlation() *cmatrix.Matrix { return w.corr }
+// Len returns the number of scan angles.
+func (w *Workspace) Len() int { return w.tab.Len() }
 
 // Compute runs MUSIC on an N×M snapshot matrix, reusing the workspace
 // for the correlation stage.
@@ -137,18 +133,51 @@ func (w *Workspace) ComputeFromCorrelation(r *cmatrix.Matrix) (*Result, error) {
 			noise.Set(i, j, eig.Vectors.At(i, p+j))
 		}
 	}
-	spec := make([]float64, w.tab.Len())
-	for i := range spec {
-		spec[i] = pseudoSpectrum(w.tab.Steering(i), noise)
-	}
+	spec, beam := w.scan(r, noise)
 	return &Result{
 		Angles:   w.tab.Angles,
 		Spectrum: spec,
+		Beam:     beam,
 		Sources:  p,
 		Noise:    noise,
 		Eigen:    eig,
 		Subarray: l,
 	}, nil
+}
+
+// scan evaluates the MUSIC pseudo-spectrum 1/(aᴴ·Uₙ·Uₙᴴ·a) and the
+// beamformer power aᴴ·R̂·a/M² at every grid angle in one pass over the
+// steering table. Both quadratic forms are folded to their diagonal
+// sums first (see diagonalForm), so an angle costs L−1 plus M−1 real
+// pairs off one table row: the MUSIC form reads the row's first L
+// entries, the beamformer the whole row. The shared head d < L runs in
+// one loop; each form still sums its terms in ascending d.
+func (w *Workspace) scan(r, noise *cmatrix.Matrix) (spec, beam []float64) {
+	w.proj.foldProjector(noise)
+	w.beam.fold(r)
+	inv := 1 / float64(r.Rows*r.Rows)
+	spec = make([]float64, w.tab.Len())
+	beam = make([]float64, len(spec))
+	pc, bc := w.proj.sums, w.beam.sums // L and M entries
+	for i := range spec {
+		a := w.tab.Steering(i)
+		var po, bo float64
+		for d := 1; d < len(pc); d++ { // the head both forms share
+			ar, ai := real(a[d]), imag(a[d])
+			po += real(pc[d])*ar - imag(pc[d])*ai
+			bo += real(bc[d])*ar - imag(bc[d])*ai
+		}
+		for d := len(pc); d < len(bc); d++ {
+			bo += real(bc[d])*real(a[d]) - imag(bc[d])*imag(a[d])
+		}
+		den := w.proj.trace + 2*po
+		if den < 1e-18 {
+			den = 1e-18
+		}
+		spec[i] = 1 / den
+		beam[i] = (w.beam.trace + 2*bo) * inv
+	}
+	return spec, beam
 }
 
 // smoothInto is SmoothForwardBackward accumulating into dst (already

@@ -9,8 +9,9 @@ import (
 )
 
 // preTableCompute replicates the pre-steering-table MUSIC pipeline from
-// primitives that did not change: it is the reference the cached path
-// must match bit for bit.
+// primitives that did not change, evaluating the collapsed quadratic
+// forms on steering vectors built per angle with Array.SteeringSub: it
+// is the reference the cached path must match bit for bit.
 func preTableCompute(t *testing.T, x *cmatrix.Matrix, arr *rf.Array, opts Options) *Result {
 	t.Helper()
 	opts = opts.withDefaults(arr.Elements)
@@ -49,12 +50,22 @@ func preTableCompute(t *testing.T, x *cmatrix.Matrix, arr *rf.Array, opts Option
 			noise.Set(i, j, col[i])
 		}
 	}
+	var proj, corr diagonalForm
+	proj.foldProjector(noise)
+	corr.fold(r)
+	m := arr.Elements
 	angles := rf.AngleGrid(opts.GridSize)
 	spec := make([]float64, len(angles))
+	beam := make([]float64, len(angles))
 	for i, th := range angles {
-		spec[i] = pseudoSpectrum(arr.SteeringSub(th, l), noise)
+		den := proj.at(arr.SteeringSub(th, l))
+		if den < 1e-18 {
+			den = 1e-18
+		}
+		spec[i] = 1 / den
+		beam[i] = corr.at(arr.SteeringSub(th, m)) * (1 / float64(m*m))
 	}
-	return &Result{Angles: angles, Spectrum: spec, Sources: p, Noise: noise, Eigen: eig, Subarray: l}
+	return &Result{Angles: angles, Spectrum: spec, Beam: beam, Sources: p, Noise: noise, Eigen: eig, Subarray: l}
 }
 
 func sameResult(t *testing.T, tag string, got, want *Result) {
@@ -63,7 +74,7 @@ func sameResult(t *testing.T, tag string, got, want *Result) {
 		t.Fatalf("%s: sources/subarray = %d/%d, want %d/%d",
 			tag, got.Sources, got.Subarray, want.Sources, want.Subarray)
 	}
-	if len(got.Angles) != len(want.Angles) || len(got.Spectrum) != len(want.Spectrum) {
+	if len(got.Angles) != len(want.Angles) || len(got.Spectrum) != len(want.Spectrum) || len(got.Beam) != len(want.Beam) {
 		t.Fatalf("%s: grid sizes differ", tag)
 	}
 	for i := range want.Spectrum {
@@ -73,6 +84,9 @@ func sameResult(t *testing.T, tag string, got, want *Result) {
 		// Exact float equality: the cached path claims bit-identity.
 		if got.Spectrum[i] != want.Spectrum[i] {
 			t.Fatalf("%s: Spectrum[%d] = %v, want %v", tag, i, got.Spectrum[i], want.Spectrum[i])
+		}
+		if got.Beam[i] != want.Beam[i] {
+			t.Fatalf("%s: Beam[%d] = %v, want %v", tag, i, got.Beam[i], want.Beam[i])
 		}
 	}
 	for i := range want.Noise.Data {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,10 +69,11 @@ type assembler struct {
 	// post-Drain test driving and late flushes single-threaded-safe.
 	shardsStopped chan struct{}
 
-	// pending counts sequences mid-assembly across all shards — the
-	// only assembler state Stats reads, and the cap gate for
-	// MaxPendingSeqs (enforced globally, evict-before-insert, so the
-	// count never exceeds the cap).
+	// pending counts sequences mid-assembly across all shards, plus
+	// slots reserved for groups about to be inserted — the only
+	// assembler state Stats reads, and the cap gate for MaxPendingSeqs
+	// (enforced globally by reserve, so the count never exceeds the
+	// cap).
 	pending atomic.Int64
 
 	// baselineApplied counts baseline-round reports applied per
@@ -274,10 +276,12 @@ func sweepInterval(ttl time.Duration) time.Duration {
 }
 
 // accept folds one online report into its sequence group and fuses the
-// group once complete. Only this shard creates groups for its
-// sequences, so the unlocked existence probe cannot race an insert —
-// the lock is dropped around cap eviction to keep the cross-shard scan
-// free of nested shard locks.
+// group once complete. Only this shard creates, fuses or TTL-evicts
+// groups for its sequences, so the unlocked existence probe cannot race
+// an insert, and a group it saw can only have left through another
+// shard's cap eviction, which marks it done. The lock is dropped around
+// slot reservation to keep the cross-shard eviction scan free of nested
+// shard locks.
 func (s *shard) accept(g *report) {
 	a := s.a
 	s.mu.Lock()
@@ -290,9 +294,10 @@ func (s *shard) accept(g *report) {
 		return
 	}
 	if !exists {
-		// Evict-before-insert: make room while the global pending
-		// count sits at the cap, so it never exceeds MaxPendingSeqs.
-		a.evictForCap()
+		// Claim a pending slot before inserting (evicting while the
+		// global count sits at the cap), so it never exceeds
+		// MaxPendingSeqs.
+		a.reserve()
 	}
 	s.mu.Lock()
 	if _, dup := s.done[g.seq]; dup {
@@ -307,7 +312,6 @@ func (s *shard) accept(g *report) {
 	if grp == nil {
 		grp = &seqGroup{byReader: map[string]map[string]*pmusic.Spectrum{}, created: a.p.now()}
 		s.online[g.seq] = grp
-		a.pending.Add(1)
 	}
 	grp.byReader[g.reader] = g.spectra
 	ready, degraded := s.takeIfReady(g.seq, grp)
@@ -565,28 +569,43 @@ func (s *shard) sweep(now time.Time) int {
 	return len(evs)
 }
 
-// evictForCap evicts globally-oldest pending groups while the pending
-// count sits at MaxPendingSeqs — the memory backstop when a reader
-// dies and TTL has not fired yet. Shards are scanned one at a time
+// reserve claims one pending slot for a new group — the global
+// MaxPendingSeqs cap, which is the memory backstop when a reader dies
+// and TTL has not fired yet. Checking the count and claiming the slot
+// is one compare-and-swap, so two shards can never both take the last
+// slot; while the count sits at the cap, the globally oldest pending
+// group is evicted first. The slot is released (pending decremented)
+// when the group fuses or is evicted. Shards are scanned one at a time
 // (never two shard locks at once), so there is no lock ordering to
-// violate; losing a race to a concurrent fuse just means re-scanning.
-func (a *assembler) evictForCap() {
-	for int(a.pending.Load()) >= a.p.cfg.MaxPendingSeqs {
+// violate; losing a race to a concurrent fuse, eviction or reservation
+// just means re-checking.
+func (a *assembler) reserve() {
+	limit := int64(a.p.cfg.MaxPendingSeqs)
+	for {
+		n := a.pending.Load()
+		if n < limit {
+			if a.pending.CompareAndSwap(n, n+1) {
+				return
+			}
+			continue
+		}
 		var victim *shard
 		var vseq uint32
 		var vt time.Time
-		found := false
 		for _, s := range a.shards {
 			s.mu.Lock()
 			for seq, grp := range s.online {
-				if !found || grp.created.Before(vt) {
-					victim, vseq, vt, found = s, seq, grp.created, true
+				if victim == nil || grp.created.Before(vt) {
+					victim, vseq, vt = s, seq, grp.created
 				}
 			}
 			s.mu.Unlock()
 		}
-		if !found {
-			return
+		if victim == nil {
+			// Every slot is claimed by a reservation whose group is not
+			// inserted yet; let its shard finish the insert.
+			runtime.Gosched()
+			continue
 		}
 		victim.evictCap(vseq)
 	}
@@ -619,9 +638,9 @@ func (s *shard) evictCap(seq uint32) {
 }
 
 // pendingSequences reports how many sequences are mid-assembly from
-// the shared atomic — a properly synchronized read that may lag a
-// shard's map by one in-flight mutation, and is exact once the
-// pipeline is drained.
+// the shared atomic — a properly synchronized read that may run ahead
+// of the shard maps by reservations whose insert is in flight, and is
+// exact once the pipeline is drained.
 func (a *assembler) pendingSequences() int { return int(a.pending.Load()) }
 
 // onlineLen counts pending groups straight from the shard maps — the

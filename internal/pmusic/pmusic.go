@@ -103,69 +103,22 @@ func beamPowerAt(x *cmatrix.Matrix, w []complex128) float64 {
 	return acc / float64(x.Rows) / float64(m*m)
 }
 
-// beamPowerTable fills out[i] with the beam power at each table angle —
-// the zero-allocation hot path, flat row-major walks only.
+// beamPowerTable fills out[i] with the beam power at each table angle,
+// weighting by the conjugated steering row — e^{+jω(m,θ)} bit for bit.
 func beamPowerTable(out []float64, x *cmatrix.Matrix, tab *rf.SteeringTable) {
+	w := make([]complex128, tab.Elements)
 	for i := range out {
-		out[i] = beamPowerAt(x, tab.Weights(i))
-	}
-}
-
-// beamPowerCorr fills out[i] with the Eq. 13 beam power evaluated in
-// the correlation domain. Expanding |Σₘ xₙₘ·wₘ|² and averaging over
-// snapshots gives PB(θ)·M² = Σₘₖ wₘ·conj(wₖ)·R̂[m,k] — i.e. the
-// beamformer is a quadratic form in the correlation matrix MUSIC has
-// already computed. Since the weights are unit-modulus, the diagonal
-// contributes tr(R̂) once for every angle, and Hermitian symmetry folds
-// the off-diagonal sum to 2·Re over the upper triangle: M(M−1)/2
-// complex terms per angle instead of N·M, with no second pass over the
-// snapshot matrix. Algebraically identical to beamPowerAt; floating-
-// point results differ in the last bits (documented tolerance — see
-// DESIGN.md "Scaling the hot path").
-func beamPowerCorr(out []float64, r *cmatrix.Matrix, tab *rf.SteeringTable) {
-	m := r.Rows
-	var tr float64
-	for i := 0; i < m; i++ {
-		tr += real(r.At(i, i))
-	}
-	inv := 1 / float64(m*m)
-	// For a uniform linear array ω(m,θ) is linear in m, so the weight
-	// pair product wᵢ·conj(wₖ) depends only on the separation d = k−i
-	// and equals conj(w_d). The upper-triangle sum therefore collapses
-	// by diagonal: off(θ) = Σ_d Re(c_d·conj(w_d)) with the per-diagonal
-	// correlation sums c_d = Σᵢ R̂[i,i+d] folded once, leaving M−1 terms
-	// per angle instead of M(M−1)/2. Agreement with the expanded pair
-	// sum is to machine rounding, inside the beamformer's documented
-	// tolerance vs the snapshot-domain reference.
-	var cbuf [16]complex128
-	var diag []complex128
-	if m-1 <= len(cbuf) {
-		diag = cbuf[:m-1]
-	} else {
-		diag = make([]complex128, m-1)
-	}
-	for d := 1; d < m; d++ {
-		var c complex128
-		for i := 0; i+d < m; i++ {
-			c += r.Data[i*m+i+d]
+		for m, a := range tab.Steering(i) {
+			w[m] = cmplx.Conj(a)
 		}
-		diag[d-1] = c
-	}
-	for ai := range out {
-		w := tab.Weights(ai)
-		var off float64
-		for d := 1; d < m; d++ {
-			cd, wd := diag[d-1], w[d]
-			off += real(cd)*real(wd) + imag(cd)*imag(wd) // Re(c_d·conj(w_d))
-		}
-		out[ai] = (tr + 2*off) * inv
+		out[i] = beamPowerAt(x, w)
 	}
 }
 
 // weightTableFor returns the shared steering table when angles is
 // exactly the uniform rf.AngleGrid(len(angles)), nil otherwise. The
-// subarray length mirrors the MUSIC default so the P-MUSIC pipeline's
-// two stages share one table.
+// subarray length mirrors the MUSIC default so BeamPower shares the
+// P-MUSIC pipeline's table.
 func weightTableFor(arr *rf.Array, angles []float64) *rf.SteeringTable {
 	n := len(angles)
 	if n < 2 {

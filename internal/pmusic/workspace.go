@@ -8,11 +8,12 @@ import (
 
 // Workspace is the reusable per-worker state for repeated P-MUSIC runs
 // against one array with fixed options. It wraps a music.Workspace (so
-// the subspace stage reuses its correlation/smoothing/Jacobi scratch
-// and the shared steering table) and adds the beamformer/normalization
-// scratch of the power stage. The returned Spectrum owns its memory —
-// its Angles alias the immutable shared grid — and may be retained by
-// callers (baselines, sequence groups) across further workspace calls.
+// the subspace and beamformer scan reuses its correlation/smoothing/
+// eigensolver scratch and the shared steering table) and adds the
+// normalization scratch of the power stage. The returned Spectrum owns
+// its memory — its Angles alias the immutable shared grid — and may be
+// retained by callers (baselines, sequence groups) across further
+// workspace calls.
 //
 // Not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
@@ -32,7 +33,7 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 	return &Workspace{
 		opts: opts,
 		mw:   mw,
-		nor:  make([]float64, mw.Table().Len()),
+		nor:  make([]float64, mw.Len()),
 	}, nil
 }
 
@@ -41,23 +42,21 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 // steady-state allocations reduced to the escaping Spectrum.
 //
 // The beamformer stage evaluates Eq. 13 in the correlation domain
-// (PB = aᴴ·R̂·a / M², see beamPowerCorr), reusing the correlation
-// matrix the subspace stage just accumulated instead of re-scanning the
-// snapshots — the same value up to floating-point association, ~3-4×
-// cheaper per angle at production snapshot counts.
+// (PB = aᴴ·R̂·a / M²) inside the subspace stage's angle scan
+// (music.Result.Beam): both quadratic forms are folded to per-diagonal
+// sums and read one steering row per angle. It is the same value as the
+// snapshot-domain BeamPower up to floating-point association, and
+// costs M−1 real pairs per angle with no second pass over the
+// snapshots or the grid.
 func (w *Workspace) Compute(x *cmatrix.Matrix) (*Spectrum, error) {
 	mres, err := w.mw.Compute(x)
 	if err != nil {
 		return nil, err
 	}
-	beam := make([]float64, len(mres.Angles))
-	// x's shape was validated by the subspace stage; the table's weight
-	// rows span the full array, matching the correlation dimension.
-	beamPowerCorr(beam, w.mw.Correlation(), w.mw.Table())
 	NormalizeInto(w.nor, mres.Angles, mres.Spectrum, w.opts.PeakRatio)
-	power := make([]float64, len(beam))
+	power := make([]float64, len(mres.Beam))
 	for i := range power {
-		power[i] = beam[i] * w.nor[i]
+		power[i] = mres.Beam[i] * w.nor[i]
 	}
-	return &Spectrum{Angles: mres.Angles, Power: power, Beam: beam, Music: mres}, nil
+	return &Spectrum{Angles: mres.Angles, Power: power, Beam: mres.Beam, Music: mres}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dwatch/internal/cmatrix"
+	"dwatch/internal/music"
 	"dwatch/internal/rf"
 )
 
@@ -23,6 +24,67 @@ func preTableBeamPower(x *cmatrix.Matrix, arr *rf.Array, angles []float64) []flo
 		out[ai] = beamPowerAt(x, w)
 	}
 	return out
+}
+
+// beamPowerCorr is the correlation-domain beam stage standalone:
+// PB(θ)·M² = tr(R̂) + 2·Σ_d Re(c_d·a_d) with the diagonal sums
+// c_d = Σᵢ R̂[i,i+d], summed in the same order as the shared MUSIC and
+// beamformer scan that fills Spectrum.Beam, so beamcorr_test can pin
+// that arithmetic against the time-domain BeamPower.
+func beamPowerCorr(out []float64, r *cmatrix.Matrix, tab *rf.SteeringTable) {
+	m := r.Rows
+	var tr float64
+	for i := 0; i < m; i++ {
+		tr += real(r.At(i, i))
+	}
+	diag := make([]complex128, m)
+	for d := 1; d < m; d++ {
+		for i := 0; i+d < m; i++ {
+			diag[d] += r.Data[i*m+i+d]
+		}
+	}
+	inv := 1 / float64(m*m)
+	for ai := range out {
+		a := tab.Steering(ai)
+		var off float64
+		for d := 1; d < m; d++ {
+			off += real(diag[d])*real(a[d]) - imag(diag[d])*imag(a[d])
+		}
+		out[ai] = (tr + 2*off) * inv
+	}
+}
+
+// Spectrum.Beam from the shared scan must be the standalone
+// correlation-domain beam bit for bit.
+func TestWorkspaceBeamIsCorrelationDomainBeam(t *testing.T) {
+	arr := testArray(t, 8)
+	rng := rand.New(rand.NewSource(4))
+	ws, err := NewWorkspace(arr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 3; trial++ {
+		x := synth(arr, []float64{0.5 + 0.6*float64(trial), 2.3}, []float64{1, 0.5}, 16, 0.05, rng)
+		sp, err := ws.Compute(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := music.Correlation(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := rf.SteeringTableFor(arr, len(sp.Angles), music.DefaultSubarray(arr.Elements))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, len(sp.Angles))
+		beamPowerCorr(want, r, tab)
+		for i := range want {
+			if sp.Beam[i] != want[i] {
+				t.Fatalf("trial %d: Beam[%d] = %v, want %v", trial, i, sp.Beam[i], want[i])
+			}
+		}
+	}
 }
 
 func TestBeamPowerTablePathBitIdentical(t *testing.T) {

@@ -1,13 +1,13 @@
 // Steering tables: the precomputed half of the P-MUSIC hot path.
 //
-// Every spectrum scan evaluates the same steering vectors a(θ) and
-// beamforming weights e^{+jω(m,θ)} at the same grid angles — all of it
-// a pure function of the array geometry and the grid size, which never
-// change during a session. SteeringTable computes them once into flat
-// row-major matrices so the per-spectrum inner loops are pure table
-// walks with zero cmplx.Exp calls and zero allocation per angle. Tables
-// are immutable after construction and safe to share across goroutines;
-// SteeringTableFor memoizes them process-wide by array geometry.
+// Every spectrum scan evaluates the same steering vectors a(θ) at the
+// same grid angles — a pure function of the array geometry and the
+// grid size, which never change during a session. SteeringTable
+// computes them once into one flat row-major matrix so the
+// per-spectrum inner loops are pure table walks with zero cmplx.Exp
+// calls and zero allocation per angle. Tables are immutable after
+// construction and safe to share across goroutines; SteeringTableFor
+// memoizes them process-wide by array geometry.
 package rf
 
 import (
@@ -18,24 +18,24 @@ import (
 	"dwatch/internal/geom"
 )
 
-// SteeringTable holds the steering vectors and conjugate beamforming
-// weights of one array over one angle grid. Steering rows are truncated
-// to the subarray length the spatially smoothed MUSIC scan needs;
-// weight rows span the full array for the Eq. 13 beamformer. The table
-// is read-only after construction.
+// SteeringTable holds one full-array steering row a(θᵢ) per grid
+// angle. The spatially smoothed MUSIC scan reads the first Sub entries
+// of a row; the Eq. 13 beamformer uses the whole row, its weights
+// e^{+jω(m,θ)} being the row's conjugates (cmplx.Exp is odd in its
+// imaginary part, so conj(a_m) equals the directly computed weight bit
+// for bit). The table is read-only after construction.
 type SteeringTable struct {
-	Elements int       // full array size M (weight row length)
-	Sub      int       // subarray length L (steering row length)
+	Elements int       // full array size M (row length)
+	Sub      int       // subarray length L of the smoothed MUSIC scan
 	Angles   []float64 // AngleGrid(n); shared — callers must not mutate
 
-	steer   []complex128 // len(Angles)×Sub, row-major: a(θᵢ) truncated to L
-	weights []complex128 // len(Angles)×M, row-major: e^{+jω(m,θᵢ)}
+	steer []complex128 // len(Angles)×M, row-major: a(θᵢ)
 }
 
 // NewSteeringTable precomputes the table for an array, an angle-grid
 // size, and a subarray length. Entries are built with the exact same
-// expressions as Array.SteeringSub and the Eq. 13 weights, so consumers
-// are bit-identical to the uncached per-angle path.
+// expression as Array.Steering, so consumers are bit-identical to the
+// uncached per-angle path.
 func NewSteeringTable(arr *Array, gridSize, sub int) (*SteeringTable, error) {
 	if sub < 1 || sub > arr.Elements {
 		return nil, fmt.Errorf("%w: subarray length %d for %d elements", ErrBadArray, sub, arr.Elements)
@@ -45,17 +45,12 @@ func NewSteeringTable(arr *Array, gridSize, sub int) (*SteeringTable, error) {
 		Elements: arr.Elements,
 		Sub:      sub,
 		Angles:   angles,
-		steer:    make([]complex128, len(angles)*sub),
-		weights:  make([]complex128, len(angles)*arr.Elements),
+		steer:    make([]complex128, len(angles)*arr.Elements),
 	}
 	for i, th := range angles {
-		sr := t.steer[i*sub : (i+1)*sub]
-		for m := range sr {
-			sr[m] = cmplx.Exp(complex(0, -arr.Omega(m, th)))
-		}
-		wr := t.weights[i*arr.Elements : (i+1)*arr.Elements]
-		for m := range wr {
-			wr[m] = cmplx.Exp(complex(0, arr.Omega(m, th)))
+		row := t.Steering(i)
+		for m := range row {
+			row[m] = cmplx.Exp(complex(0, -arr.Omega(m, th)))
 		}
 	}
 	return t, nil
@@ -64,17 +59,12 @@ func NewSteeringTable(arr *Array, gridSize, sub int) (*SteeringTable, error) {
 // Len returns the number of grid angles.
 func (t *SteeringTable) Len() int { return len(t.Angles) }
 
-// Steering returns the subarray steering vector at grid angle i —
-// identical to Array.SteeringSub(Angles[i], Sub). The slice aliases the
-// table and must not be modified.
+// Steering returns the full-array steering vector at grid angle i —
+// identical to Array.Steering(Angles[i]); its first Sub entries are
+// Array.SteeringSub(Angles[i], Sub). The slice aliases the table and
+// must not be modified.
 func (t *SteeringTable) Steering(i int) []complex128 {
-	return t.steer[i*t.Sub : (i+1)*t.Sub]
-}
-
-// Weights returns the full-array beamforming weights e^{+jω(m,θᵢ)} at
-// grid angle i. The slice aliases the table and must not be modified.
-func (t *SteeringTable) Weights(i int) []complex128 {
-	return t.weights[i*t.Elements : (i+1)*t.Elements]
+	return t.steer[i*t.Elements : (i+1)*t.Elements]
 }
 
 // tableKey identifies a steering table by array geometry (by value, so

@@ -21,25 +21,28 @@ func TestSteeringTableMatchesSteeringSub(t *testing.T) {
 		if tab.Angles[i] != th {
 			t.Fatalf("Angles[%d] = %v, want %v", i, tab.Angles[i], th)
 		}
-		// Exact equality: the table must reproduce SteeringSub bit for
-		// bit so cached spectra are bit-identical to uncached ones.
-		want := a.SteeringSub(th, 5)
+		// Exact equality: the table must reproduce Steering and
+		// SteeringSub bit for bit so cached spectra are bit-identical to
+		// uncached ones.
 		got := tab.Steering(i)
-		if len(got) != 5 {
+		if len(got) != a.Elements {
 			t.Fatalf("steering row %d: len = %d", i, len(got))
 		}
-		for m := range want {
-			if got[m] != want[m] {
-				t.Fatalf("steering[%d][%d] = %v, want %v", i, m, got[m], want[m])
+		for m, want := range a.Steering(th) {
+			if got[m] != want {
+				t.Fatalf("steering[%d][%d] = %v, want %v", i, m, got[m], want)
 			}
 		}
-		w := tab.Weights(i)
-		if len(w) != a.Elements {
-			t.Fatalf("weights row %d: len = %d", i, len(w))
+		for m, want := range a.SteeringSub(th, 5) {
+			if got[m] != want {
+				t.Fatalf("steering[%d][%d] = %v, want SteeringSub %v", i, m, got[m], want)
+			}
 		}
-		for m := range w {
-			if want := cmplx.Exp(complex(0, a.Omega(m, th))); w[m] != want {
-				t.Fatalf("weights[%d][%d] = %v, want %v", i, m, w[m], want)
+		// The beamformer conjugates the row instead of keeping a weight
+		// table; that must equal the directly computed weight.
+		for m := range got {
+			if want := cmplx.Exp(complex(0, a.Omega(m, th))); cmplx.Conj(got[m]) != want {
+				t.Fatalf("conj(steering[%d][%d]) = %v, want weight %v", i, m, cmplx.Conj(got[m]), want)
 			}
 		}
 	}

@@ -292,8 +292,19 @@ func TestSupervisorFaultyLink(t *testing.T) {
 	sup.Start()
 	defer sup.Stop()
 
-	waitFor(t, "all up through faults", 10*time.Second, func() bool {
-		return len(sup.Live()) == len(eps)
+	// A session is up once it has sent StartROSpec; an endpoint can
+	// stream only after it has processed it, so wait for both before
+	// broadcasting.
+	waitFor(t, "all up and streaming through faults", 10*time.Second, func() bool {
+		if len(sup.Live()) != len(eps) {
+			return false
+		}
+		for _, e := range sims {
+			if !e.Streaming() {
+				return false
+			}
+		}
+		return true
 	})
 	for _, rd := range rounds {
 		for _, e := range sims {
