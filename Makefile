@@ -27,10 +27,12 @@ test:
 # target below — no point running the slowest test twice per check.
 # The pipeline package runs again at -cpu 1,4 so the sharded assembler
 # (one shard per GOMAXPROCS) takes its single- and multi-shard paths
-# even on a small CI runner.
+# even on a small CI runner. The music and pmusic packages ride along
+# because every worker's workspace reads the one shared steering
+# table.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -cpu 1,4 ./internal/pipeline/
+	$(GO) test -race -short -cpu 1,4 ./internal/pipeline/ ./internal/music/ ./internal/pmusic/
 
 # The fault-tolerance gate: kill and restart a reader mid-run over real
 # TCP with injected link faults, under the race detector. Degraded

@@ -412,11 +412,34 @@ func BenchmarkMusicSpectrum(b *testing.B) {
 			}
 		}
 	})
-	// The solver= pair isolates the eigendecomposition backend on the
-	// otherwise-identical workspace path: jacobi replays the pre-PR-7
-	// cyclic sweep, qr is the tridiagonal implicit-shift hot path the
-	// default (auto) resolves to. Their ratio is the single-spectrum
-	// speedup acceptance number.
+	// The path= pair is the scratch-only spectrum the P-MUSIC workspace
+	// runs (SpectrumInto): current is the default real-valued subspace
+	// stage, hermitian forces the complex Hermitian QL solver on the
+	// same scan. Their ratio is the unitary transform's share.
+	for _, tc := range []struct {
+		name   string
+		solver music.Eigensolver
+	}{{"current", music.EigenAuto}, {"hermitian", music.EigenQR}} {
+		b.Run("path="+tc.name, func(b *testing.B) {
+			ws, err := music.NewWorkspace(arr, music.Options{Eigensolver: tc.solver})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := x.RowViews(nil)
+			spec, beam := make([]float64, ws.Len()), make([]float64, ws.Len())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ws.SpectrumInto(spec, beam, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	// The solver= pair isolates the complex eigendecomposition backend
+	// on the otherwise-identical workspace path: jacobi replays the
+	// pre-PR-7 cyclic sweep, qr the tridiagonal implicit-shift solver
+	// that was the default before the real-valued stage.
 	for _, solver := range []music.Eigensolver{music.EigenJacobi, music.EigenQR} {
 		b.Run("solver="+solver.String(), func(b *testing.B) {
 			ws, err := music.NewWorkspace(arr, music.Options{Eigensolver: solver})
@@ -479,10 +502,12 @@ func BenchmarkBeamPower(b *testing.B) {
 // the pre-PR-7 composition from the public primitives: Jacobi
 // eigensolver plus the snapshot-domain beamformer (a second full pass
 // over the snapshots per angle). path=current is today's workspace:
-// tridiagonal-QR subspace stage plus the correlation-domain
-// beamformer reusing the subspace stage's R̂. Their ratio is the
-// single-spectrum speedup acceptance number; solver= under
-// BenchmarkMusicSpectrum isolates just the eigensolver's share.
+// the real-valued (unitary) subspace stage plus the correlation-domain
+// beamformer in the same paired half-grid scan, with only Power and
+// Beam escaping. path=hermitian is the same workspace forced onto the
+// complex Hermitian QL solver (EigenQR), the previous default kernel.
+// current over pre-qr is the single-spectrum speedup acceptance
+// number; current over hermitian is the unitary transform's share.
 func BenchmarkPMusicSpectrum(b *testing.B) {
 	x, arr := benchSnapshotMatrix(b)
 	b.Run("path=pre-qr", func(b *testing.B) {
@@ -509,19 +534,24 @@ func BenchmarkPMusicSpectrum(b *testing.B) {
 			}
 		}
 	})
-	b.Run("path=current", func(b *testing.B) {
-		ws, err := pmusic.NewWorkspace(arr, pmusic.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.Compute(x); err != nil {
+	for _, tc := range []struct {
+		name   string
+		solver music.Eigensolver
+	}{{"current", music.EigenAuto}, {"hermitian", music.EigenQR}} {
+		b.Run("path="+tc.name, func(b *testing.B) {
+			ws, err := pmusic.NewWorkspace(arr, pmusic.Options{Music: music.Options{Eigensolver: tc.solver}})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.Compute(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // benchLocViews builds two synthetic drop views looking at one target —

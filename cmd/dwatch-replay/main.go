@@ -22,9 +22,11 @@
 //
 // -eigensolver and -asm-shards pin the pipeline configuration for A/B
 // replays of one capture (scripts/replay-ab.sh): the fusion shard
-// count never moves the parity hash, while jacobi-vs-qr eigensolvers
-// differ inside the documented tolerance (see DESIGN.md "Scaling the
-// hot path").
+// count never moves the parity hash, while the eigensolvers differ
+// inside the documented tolerance (see DESIGN.md "Scaling the hot
+// path"). auto, the default, is the real-valued (unitary) subspace
+// stage; qr and jacobi run the complex Hermitian solvers it replaced,
+// as the reference.
 //
 // Usage:
 //
@@ -71,7 +73,7 @@ func main() {
 	speed := flag.Float64("speed", 0, "real-time multiplier: 1 = original pacing, 10 = 10x, 0 = unthrottled")
 	dropFloor := flag.Float64("drop-floor", 0, "override the per-path drop floor (0 = default)")
 	workers := flag.Int("workers", 0, "spectrum worker pool size (0 = GOMAXPROCS)")
-	eigensolver := flag.String("eigensolver", "", "eigendecomposition backend for A/B replays: auto, qr, or jacobi (empty = auto)")
+	eigensolver := flag.String("eigensolver", "", "eigendecomposition backend for A/B replays: auto (real-valued unitary stage), or the complex Hermitian qr or jacobi reference (empty = auto)")
 	asmShards := flag.Int("asm-shards", 0, "fusion shard count for A/B replays (0 = GOMAXPROCS, 1 = serialized fusion)")
 	jsonOut := flag.Bool("json", false, "emit the run summary as JSON on stdout")
 	httpAddr := flag.String("http", "", "serve the observability plane (metrics, health, positions, pprof) on this address during replay; empty = disabled")

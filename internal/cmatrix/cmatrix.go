@@ -7,6 +7,8 @@
 // EigenHermitianJacobi and as the automatic fallback if QL ever fails to
 // converge. Matrices are small (antenna counts of 4-16), so both are
 // fast; QR is ~4-5× faster per decomposition at MUSIC sizes.
+// SymEigenWorkspace (eigensym.go) is the same QL method in real
+// arithmetic, for subspace stages that a unitary transform makes real.
 package cmatrix
 
 import (
@@ -177,6 +179,17 @@ func (m *Matrix) Col(j int) []complex128 {
 	return out
 }
 
+// RowViews returns the rows of m as slices aliasing m.Data, reusing
+// dst's backing array: a snapshot matrix seen as the [][]complex128
+// rows that row-wise consumers take, without copying.
+func (m *Matrix) RowViews(dst [][]complex128) [][]complex128 {
+	dst = dst[:0]
+	for i := 0; i < m.Rows; i++ {
+		dst = append(dst, m.Data[i*m.Cols:(i+1)*m.Cols:(i+1)*m.Cols])
+	}
+	return dst
+}
+
 // OuterAdd accumulates the rank-1 update m += s · v·vᴴ. The matrix must
 // be square with dimension len(v).
 func (m *Matrix) OuterAdd(v []complex128, s float64) error {
@@ -287,6 +300,7 @@ type EigenWorkspace struct {
 	idx    []int
 	d, e   []float64    // tridiagonal diagonal / sub-diagonal (QL path)
 	hv, hp []complex128 // Householder reflector and p-vector scratch
+	rots   []givens     // QL rotation log (see tridiagQL)
 }
 
 // prepare validates a, sizes the scratch, copies a into ws.w with exact
@@ -309,6 +323,7 @@ func (ws *EigenWorkspace) prepare(a *Matrix) (int, error) {
 		ws.e = make([]float64, n)
 		ws.hv = make([]complex128, n)
 		ws.hp = make([]complex128, n)
+		ws.rots = make([]givens, 0, 4*n*n)
 	}
 	w, v := ws.w, ws.v
 	copy(w.Data, a.Data)

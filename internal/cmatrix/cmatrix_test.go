@@ -327,3 +327,21 @@ func BenchmarkEigenHermitian8(b *testing.B) {
 		}
 	}
 }
+
+func TestRowViews(t *testing.T) {
+	m, err := FromRows([][]complex128{{1, 2, 3}, {4, 5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := m.RowViews(make([][]complex128, 5))
+	if len(rows) != 2 || len(rows[0]) != 3 || rows[1][2] != 6 {
+		t.Fatalf("RowViews = %v", rows)
+	}
+	rows[1][0] = 9 // views alias the matrix
+	if m.At(1, 0) != 9 {
+		t.Fatal("row view does not alias the matrix")
+	}
+	if got := append(rows[0], 7); m.At(1, 0) != 9 || len(got) != 4 {
+		t.Fatal("appending to a row view overwrote the next row")
+	}
+}

@@ -134,8 +134,42 @@ func (ws *EigenWorkspace) eigenQL(n int) (*Eigen, error) {
 	}
 	e[n-1] = 0
 
-	// Stage 2: implicit-shift QL with Wilkinson shifts on the real
-	// tridiagonal, Givens rotations accumulated into the complex q.
+	// Stage 2: implicit-shift QL on the real tridiagonal, its Givens
+	// rotations replayed onto the complex q.
+	rots, err := tridiagQL(d, e, ws.rots[:0])
+	ws.rots = rots
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range rots {
+		cs, sn := complex(g.c, 0), complex(g.s, 0)
+		for k := 0; k < n; k++ {
+			row := q.Data[k*n:]
+			f := row[g.i+1]
+			row[g.i+1] = sn*row[g.i] + cs*f
+			row[g.i] = cs*row[g.i] - sn*f
+		}
+	}
+	return ws.finishEigenVals(d, q), nil
+}
+
+// givens is one QL plane rotation of accumulator columns i and i+1:
+// col_{i+1} ← s·col_i + c·col_{i+1}, col_i ← c·col_i − s·col_{i+1}.
+type givens struct {
+	i    int
+	c, s float64
+}
+
+// tridiagQL diagonalizes the real symmetric tridiagonal (d, e) in place
+// with implicit-shift QL and Wilkinson shifts: d ends as the
+// (unsorted) eigenvalues and e is destroyed. The iteration never reads
+// the eigenvectors, so instead of updating them it appends every plane
+// rotation to rots in order; each solver replays the log onto its own
+// accumulator — complex for EigenHermitian, real for EigenSymmetric.
+// Returns ErrNoConverge if any eigenvalue needs more than 50 QL
+// iterations.
+func tridiagQL(d, e []float64, rots []givens) ([]givens, error) {
+	n := len(d)
 	const maxIter = 50
 	const eps = 2.220446049250313e-16
 	for l := 0; l < n; l++ {
@@ -154,7 +188,7 @@ func (ws *EigenWorkspace) eigenQL(n int) (*Eigen, error) {
 			}
 			iter++
 			if iter > maxIter {
-				return nil, ErrNoConverge
+				return rots, ErrNoConverge
 			}
 			// Wilkinson shift from the leading 2×2 of the block.
 			g := (d[l+1] - d[l]) / (2 * e[l])
@@ -182,13 +216,7 @@ func (ws *EigenWorkspace) eigenQL(n int) (*Eigen, error) {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				cs, sn := complex(c, 0), complex(s, 0)
-				for k := 0; k < n; k++ {
-					row := q.Data[k*n:]
-					f := row[i+1]
-					row[i+1] = sn*row[i] + cs*f
-					row[i] = cs*row[i] - sn*f
-				}
+				rots = append(rots, givens{i: i, c: c, s: s})
 			}
 			if underflow {
 				continue
@@ -198,6 +226,5 @@ func (ws *EigenWorkspace) eigenQL(n int) (*Eigen, error) {
 			e[m] = 0
 		}
 	}
-
-	return ws.finishEigenVals(d, q), nil
+	return rots, nil
 }

@@ -437,17 +437,29 @@ func (s *System) BaselineSpectrum(readerID string, epc []byte) *pmusic.Spectrum 
 // matrix the pipeline consumes — the glue for network-fed deployments
 // (cmd/dwatchd).
 func RawSnapshotsToMatrix(snapshot [][]complex128) (*cmatrix.Matrix, error) {
-	rows := len(snapshot)
-	if rows == 0 {
-		return nil, errors.New("dwatch: empty snapshot")
+	if err := CheckSnapshot(snapshot); err != nil {
+		return nil, err
 	}
 	cols := len(snapshot[0])
-	m := cmatrix.New(rows, cols)
+	m := cmatrix.New(len(snapshot), cols)
 	for r, row := range snapshot {
-		if len(row) != cols {
-			return nil, errors.New("dwatch: ragged snapshot")
-		}
 		copy(m.Data[r*cols:(r+1)*cols], row)
 	}
 	return m, nil
+}
+
+// CheckSnapshot reports whether an LLRP snapshot payload is a usable
+// matrix: at least one row, all rows the same length. Consumers that
+// read the rows in place (pmusic.Workspace.ComputeRows) check with it
+// to reject exactly what RawSnapshotsToMatrix rejects.
+func CheckSnapshot(snapshot [][]complex128) error {
+	if len(snapshot) == 0 {
+		return errors.New("dwatch: empty snapshot")
+	}
+	for _, row := range snapshot {
+		if len(row) != len(snapshot[0]) {
+			return errors.New("dwatch: ragged snapshot")
+		}
+	}
+	return nil
 }

@@ -131,7 +131,7 @@ type Options struct {
 	// coherent multipath.
 	NoSmoothing bool
 	// Eigensolver selects the eigendecomposition backend; the zero
-	// value is EigenAuto (tridiagonal QR with Jacobi fallback).
+	// value is EigenAuto (the real-valued stage when smoothing).
 	Eigensolver Eigensolver
 }
 
@@ -284,8 +284,14 @@ type Peak struct {
 // times the global maximum, sorted by amplitude descending. Plateau tops
 // are reported once at their left edge.
 func FindPeaks(angles, spec []float64, minRatio float64) []Peak {
+	return AppendPeaks(nil, angles, spec, minRatio)
+}
+
+// AppendPeaks is FindPeaks appending to dst, so a caller can reuse one
+// peak buffer across spectra. Only the appended peaks are sorted.
+func AppendPeaks(dst []Peak, angles, spec []float64, minRatio float64) []Peak {
 	if len(spec) != len(angles) || len(spec) < 3 {
-		return nil
+		return dst
 	}
 	var max float64
 	for _, v := range spec {
@@ -294,9 +300,9 @@ func FindPeaks(angles, spec []float64, minRatio float64) []Peak {
 		}
 	}
 	if max <= 0 {
-		return nil
+		return dst
 	}
-	var peaks []Peak
+	base := len(dst)
 	for i := 1; i < len(spec)-1; i++ {
 		if spec[i] < spec[i-1] || spec[i] < minRatio*max {
 			continue
@@ -310,17 +316,18 @@ func FindPeaks(angles, spec []float64, minRatio float64) []Peak {
 			continue // ascending, not a peak
 		}
 		if spec[i] > spec[i-1] || (j+1 < len(spec) && spec[i] > spec[j+1]) {
-			peaks = append(peaks, Peak{Index: i, Angle: angles[i], Amplitude: spec[i]})
+			dst = append(dst, Peak{Index: i, Angle: angles[i], Amplitude: spec[i]})
 		}
 		i = j
 	}
 	// Sort by amplitude descending (insertion sort, tiny n).
+	peaks := dst[base:]
 	for i := 1; i < len(peaks); i++ {
 		for j := i; j > 0 && peaks[j].Amplitude > peaks[j-1].Amplitude; j-- {
 			peaks[j], peaks[j-1] = peaks[j-1], peaks[j]
 		}
 	}
-	return peaks
+	return dst
 }
 
 // NearestPeak returns the peak closest in angle to want, or ok=false if

@@ -6,17 +6,34 @@ import (
 	"testing"
 
 	"dwatch/internal/cmatrix"
+	"dwatch/internal/rf"
 )
 
-// at evaluates one folded quadratic form, aᴴ·H·a = tr + 2·Σ Re(c_d·a_d),
-// summing in ascending d exactly as Workspace.scan does: the per-angle
-// reference the scan is pinned against bit for bit.
-func (f *diagonalForm) at(a []complex128) float64 {
-	var off float64
+// pair evaluates one folded quadratic form from steering row a exactly
+// as Workspace.scan does: X = Σ Re c_d·Re a_d and Y = Σ Im c_d·Im a_d
+// in ascending d give aᴴ·H·a = tr + 2(X − Y) at the row's own angle
+// and tr + 2(X + Y) at its mirror, whose row is conj(a). It is the
+// per-angle reference the scan is pinned against bit for bit.
+func (f *diagonalForm) pair(a []complex128) (at, mirror float64) {
+	var x, y float64
 	for d := 1; d < len(f.sums); d++ {
-		off += real(f.sums[d])*real(a[d]) - imag(f.sums[d])*imag(a[d])
+		x += real(f.sums[d]) * real(a[d])
+		y += imag(f.sums[d]) * imag(a[d])
 	}
-	return f.trace + 2*off
+	return f.trace + 2*(x-y), f.trace + 2*(x+y)
+}
+
+// scanned evaluates the form at grid index i of angles the way the
+// scan does: from the steering vector of the lower angle of i's mirror
+// pair, built per angle with SteeringSub (the table's exact
+// expression).
+func (f *diagonalForm) scanned(arr *rf.Array, angles []float64, i, n int) float64 {
+	if j := len(angles) - 1 - i; j < i {
+		_, v := f.pair(arr.SteeringSub(angles[j], n))
+		return v
+	}
+	v, _ := f.pair(arr.SteeringSub(angles[i], n))
+	return v
 }
 
 // The pseudo-spectrum scan's tolerance contract (tier 2): the collapsed
@@ -61,13 +78,9 @@ func TestScanMatchesDirectProjection(t *testing.T) {
 		direct := make([]float64, len(res.Angles))
 		worst, smallest := 0.0, math.Inf(1)
 		for i, th := range res.Angles {
-			collapsed := proj.at(arr.Steering(th))
-			den := collapsed
-			if den < 1e-18 {
-				den = 1e-18
-			}
-			if res.Spectrum[i] != 1/den {
-				t.Fatalf("%s: Spectrum[%d] = %v is not 1/%v", fx.name, i, res.Spectrum[i], den)
+			collapsed := proj.scanned(arr, res.Angles, i, res.Subarray)
+			if res.Spectrum[i] != pseudo(collapsed) {
+				t.Fatalf("%s: Spectrum[%d] = %v is not 1/%v", fx.name, i, res.Spectrum[i], collapsed)
 			}
 			want := ProjectionOntoNoise(arr.SteeringSub(th, res.Subarray), res.Noise)
 			if d := math.Abs(collapsed - want); d > worst {
@@ -97,9 +110,9 @@ func TestScanMatchesDirectProjection(t *testing.T) {
 	}
 }
 
-// fold and at must agree with the expanded quadratic form aᴴ·H·a on an
-// arbitrary Hermitian matrix, and a subarray form must ignore the tail
-// of a full-array row.
+// fold and pair must agree with the expanded quadratic form aᴴ·H·a on
+// an arbitrary Hermitian matrix, at a row's angle θ and at its mirror
+// π−θ, and a subarray form must ignore the tail of a full-array row.
 func TestDiagonalFoldMatchesQuadraticForm(t *testing.T) {
 	arr := testArray(t, 8)
 	rng := rand.New(rand.NewSource(3))
@@ -117,16 +130,23 @@ func TestDiagonalFoldMatchesQuadraticForm(t *testing.T) {
 		}
 		var f diagonalForm
 		f.fold(h)
-		for _, th := range []float64{0, 0.4, 1.3, 2.2, math.Pi} {
+		expanded := func(th float64) float64 {
 			a := arr.Steering(th)
-			var want complex128
+			var q complex128
 			for i := 0; i < n; i++ {
 				for k := 0; k < n; k++ {
-					want += complex(real(a[i]), -imag(a[i])) * h.At(i, k) * a[k]
+					q += complex(real(a[i]), -imag(a[i])) * h.At(i, k) * a[k]
 				}
 			}
-			if got := f.at(a); math.Abs(got-real(want)) > 1e-12*math.Abs(real(want)) {
-				t.Fatalf("n=%d θ=%v: At = %v, expanded form %v", n, th, got, want)
+			return real(q)
+		}
+		for _, th := range []float64{0, 0.4, 1.3, 2.2, math.Pi} {
+			at, mirror := f.pair(arr.Steering(th))
+			if want := expanded(th); math.Abs(at-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("n=%d θ=%v: form = %v, expanded form %v", n, th, at, want)
+			}
+			if want := expanded(math.Pi - th); math.Abs(mirror-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("n=%d π−θ for θ=%v: form = %v, expanded form %v", n, th, mirror, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package music
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -8,64 +9,42 @@ import (
 	"dwatch/internal/rf"
 )
 
-// preTableCompute replicates the pre-steering-table MUSIC pipeline from
-// primitives that did not change, evaluating the collapsed quadratic
-// forms on steering vectors built per angle with Array.SteeringSub: it
-// is the reference the cached path must match bit for bit.
+// preTableCompute replicates the pre-steering-table MUSIC pipeline:
+// the correlation from Correlation, the subspace stage from a fresh
+// workspace's own helpers (TestRealPathMatchesHermitian pins that stage
+// against the complex solver), and the collapsed quadratic forms
+// evaluated per angle on steering vectors built with
+// Array.SteeringSub, paired as the scan pairs them. It is the
+// reference the table-backed entry points must match bit for bit.
 func preTableCompute(t *testing.T, x *cmatrix.Matrix, arr *rf.Array, opts Options) *Result {
 	t.Helper()
-	opts = opts.withDefaults(arr.Elements)
 	r, err := Correlation(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := r
-	if opts.NoSmoothing {
-		opts.Subarray = arr.Elements
-	} else {
-		if sm, err = SmoothForwardBackward(r, opts.Subarray); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eig, err := cmatrix.EigenHermitian(sm)
+	ws, err := NewWorkspace(arr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := opts.Sources
-	if p <= 0 {
-		p = EstimateSources(eig.Values, opts.Threshold)
+	vals, eig, err := ws.decompose(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p < 1 {
-		p = 1
-	}
-	l := opts.Subarray
-	if p >= l {
-		p = l - 1
-	}
-	q := l - p
-	noise := cmatrix.New(l, q)
-	for j := 0; j < q; j++ {
-		col := eig.Vectors.Col(p + j)
-		for i := 0; i < l; i++ {
-			noise.Set(i, j, col[i])
-		}
-	}
+	p := ws.sources(vals)
+	noise := ws.noiseInto(p, eig).Clone()
 	var proj, corr diagonalForm
 	proj.foldProjector(noise)
 	corr.fold(r)
-	m := arr.Elements
-	angles := rf.AngleGrid(opts.GridSize)
+	m, l := arr.Elements, ws.opts.Subarray
+	angles := rf.AngleGrid(ws.opts.GridSize)
 	spec := make([]float64, len(angles))
 	beam := make([]float64, len(angles))
-	for i, th := range angles {
-		den := proj.at(arr.SteeringSub(th, l))
-		if den < 1e-18 {
-			den = 1e-18
-		}
-		spec[i] = 1 / den
-		beam[i] = corr.at(arr.SteeringSub(th, m)) * (1 / float64(m*m))
+	for i := range angles {
+		spec[i] = pseudo(proj.scanned(arr, angles, i, l))
+		beam[i] = corr.scanned(arr, angles, i, m) * (1 / float64(m*m))
 	}
-	return &Result{Angles: angles, Spectrum: spec, Beam: beam, Sources: p, Noise: noise, Eigen: eig, Subarray: l}
+	return &Result{Angles: angles, Spectrum: spec, Beam: beam, Sources: p, Noise: noise,
+		Eigen: &cmatrix.Eigen{Values: append([]float64(nil), vals...)}, Subarray: l}
 }
 
 func sameResult(t *testing.T, tag string, got, want *Result) {
@@ -183,5 +162,58 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Errorf("steady-state Workspace.Compute allocates %.0f times per run, want ≤16", allocs)
+	}
+}
+
+// SpectrumInto is Compute without the owned Result: the same spectrum
+// and beam bit for bit, on both the real-valued and the complex
+// subspace paths, with no allocation once warm on the real-valued one.
+func TestSpectrumIntoMatchesCompute(t *testing.T) {
+	arr := testArray(t, 8)
+	rng := rand.New(rand.NewSource(13))
+	x := synthSnapshots(arr, []float64{0.8, 2.0}, []float64{1, 0.6}, 10, 0.05, true, rng)
+	for _, opts := range []Options{
+		{},
+		{Subarray: 5},
+		{Eigensolver: EigenQR},
+		{Eigensolver: EigenJacobi},
+		{NoSmoothing: true},
+	} {
+		ws, err := NewWorkspace(arr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ws.Compute(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := x.RowViews(nil)
+		spec, beam := make([]float64, ws.Len()), make([]float64, ws.Len())
+		if err := ws.SpectrumInto(spec, beam, rows); err != nil {
+			t.Fatal(err)
+		}
+		for i := range spec {
+			if spec[i] != want.Spectrum[i] || beam[i] != want.Beam[i] {
+				t.Fatalf("%+v: angle %d differs from Compute", opts, i)
+			}
+		}
+		if opts.Eigensolver != EigenAuto || opts.NoSmoothing {
+			continue // the complex solvers return an allocated Eigen
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := ws.SpectrumInto(spec, beam, rows); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%+v: SpectrumInto allocates %v/run, want 0", opts, allocs)
+		}
+	}
+	ws, err := NewWorkspace(arr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.SpectrumInto(make([]float64, 3), make([]float64, ws.Len()), x.RowViews(nil)); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("short spectrum buffer: err = %v, want ErrBadInput", err)
 	}
 }

@@ -538,23 +538,24 @@ func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
 
 // computeSnapshot turns one raw snapshot into a P-MUSIC spectrum,
 // through the test seam when set, otherwise through the worker's
-// reusable workspace for the job's array (created on first use).
+// reusable workspace for the job's array (created on first use), which
+// correlates the decoded rows in place.
 func (p *Pipeline) computeSnapshot(ws map[*rf.Array]*pmusic.Workspace, arr *rf.Array, snap [][]complex128) (*pmusic.Spectrum, error) {
 	if p.compute != nil {
 		return p.compute(snap, arr, p.cfg.PMusic)
 	}
-	x, err := dwatch.RawSnapshotsToMatrix(snap)
-	if err != nil {
+	if err := dwatch.CheckSnapshot(snap); err != nil {
 		return nil, err
 	}
 	w := ws[arr]
 	if w == nil {
+		var err error
 		if w, err = pmusic.NewWorkspace(arr, p.cfg.PMusic); err != nil {
 			return nil, err
 		}
 		ws[arr] = w
 	}
-	return w.Compute(x)
+	return w.ComputeRows(snap)
 }
 
 // teardown runs the ordered shutdown exactly once: stop the intake,

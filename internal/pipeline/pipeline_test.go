@@ -364,3 +364,29 @@ func TestOverloadPolicyString(t *testing.T) {
 		t.Fatalf("unknown policy string %q", s)
 	}
 }
+
+// The worker correlates decoded snapshot rows in place; malformed
+// snapshots must fail with the errors the matrix conversion gave.
+func TestComputeSnapshotRejectsMalformed(t *testing.T) {
+	arrays, _ := testArrays(t)
+	var arr *rf.Array
+	for _, a := range arrays {
+		arr = a
+		break
+	}
+	p := &Pipeline{}
+	ws := map[*rf.Array]*pmusic.Workspace{}
+	row := func(n int) []complex128 { return make([]complex128, n) }
+	for _, tc := range []struct {
+		snap [][]complex128
+		want string
+	}{
+		{nil, "dwatch: empty snapshot"},
+		{[][]complex128{row(arr.Elements), row(arr.Elements - 1)}, "dwatch: ragged snapshot"},
+		{[][]complex128{row(arr.Elements - 1)}, fmt.Sprintf("music: bad input: %d columns for %d-element array", arr.Elements-1, arr.Elements)},
+	} {
+		if _, err := p.computeSnapshot(ws, arr, tc.snap); err == nil || err.Error() != tc.want {
+			t.Errorf("snapshot %d rows: err = %v, want %q", len(tc.snap), err, tc.want)
+		}
+	}
+}

@@ -55,7 +55,6 @@ type Spectrum struct {
 	Angles []float64 // scan grid, radians
 	Power  []float64 // Ω(θ): per-direction signal power estimate
 	Beam   []float64 // PB(θ): raw beamformed power (Eq. 13)
-	Music  *music.Result
 }
 
 // BeamPower computes PB(θ) of Eq. 13 averaged over snapshots:
@@ -150,7 +149,20 @@ func Normalize(angles, spec []float64, peakRatio float64) []float64 {
 // NormalizeInto is Normalize writing into out (len(spec)); every entry
 // of out is overwritten, so a reused scratch slice needs no clearing.
 func NormalizeInto(out, angles, spec []float64, peakRatio float64) {
-	peaks := music.FindPeaks(angles, spec, peakRatio)
+	var sc normScratch
+	sc.normalizeInto(out, angles, spec, peakRatio)
+}
+
+// normScratch is the peak and segment scratch of NormalizeInto, kept
+// by a Workspace so steady-state normalization allocates nothing.
+type normScratch struct {
+	peaks  []music.Peak
+	bounds []int
+}
+
+func (sc *normScratch) normalizeInto(out, angles, spec []float64, peakRatio float64) {
+	peaks := music.AppendPeaks(sc.peaks[:0], angles, spec, peakRatio)
+	sc.peaks = peaks
 	if len(peaks) == 0 {
 		var max float64
 		for _, v := range spec {
@@ -167,23 +179,15 @@ func NormalizeInto(out, angles, spec []float64, peakRatio float64) {
 		return
 	}
 	// Order peaks by grid index.
-	idx := make([]int, len(peaks))
-	amp := make([]float64, len(peaks))
-	for i, p := range peaks {
-		idx[i] = p.Index
-		amp[i] = p.Amplitude
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-			amp[j], amp[j-1] = amp[j-1], amp[j]
+	for i := 1; i < len(peaks); i++ {
+		for j := i; j > 0 && peaks[j].Index < peaks[j-1].Index; j-- {
+			peaks[j], peaks[j-1] = peaks[j-1], peaks[j]
 		}
 	}
 	// Segment boundaries: the minimum between consecutive peaks.
-	bounds := make([]int, 0, len(idx)+1)
-	bounds = append(bounds, 0)
-	for i := 1; i < len(idx); i++ {
-		lo, hi := idx[i-1], idx[i]
+	bounds := append(sc.bounds[:0], 0)
+	for i := 1; i < len(peaks); i++ {
+		lo, hi := peaks[i-1].Index, peaks[i].Index
 		minJ := lo
 		for j := lo; j <= hi; j++ {
 			if spec[j] < spec[minJ] {
@@ -193,8 +197,9 @@ func NormalizeInto(out, angles, spec []float64, peakRatio float64) {
 		bounds = append(bounds, minJ)
 	}
 	bounds = append(bounds, len(spec))
-	for seg := 0; seg < len(idx); seg++ {
-		den := amp[seg]
+	sc.bounds = bounds
+	for seg, p := range peaks {
+		den := p.Amplitude
 		if den <= 0 {
 			den = 1
 		}

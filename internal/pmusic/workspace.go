@@ -10,16 +10,19 @@ import (
 // against one array with fixed options. It wraps a music.Workspace (so
 // the subspace and beamformer scan reuses its correlation/smoothing/
 // eigensolver scratch and the shared steering table) and adds the
-// normalization scratch of the power stage. The returned Spectrum owns
-// its memory — its Angles alias the immutable shared grid — and may be
-// retained by callers (baselines, sequence groups) across further
+// MUSIC-spectrum and normalization scratch of the power stage. Only
+// the returned Spectrum escapes: its Power and Beam share one fresh
+// allocation and its Angles alias the immutable shared grid, so it may
+// be retained by callers (baselines, sequence groups) across further
 // workspace calls.
 //
 // Not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
 	opts Options
 	mw   *music.Workspace
-	nor  []float64 // normalization scratch, fully overwritten per run
+	rows [][]complex128 // row views of a snapshot matrix (Compute)
+	spec []float64      // MUSIC pseudo-spectrum, overwritten per run
+	nor  normScratch
 }
 
 // NewWorkspace resolves the options and builds the underlying MUSIC
@@ -33,7 +36,7 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 	return &Workspace{
 		opts: opts,
 		mw:   mw,
-		nor:  make([]float64, mw.Len()),
+		spec: make([]float64, mw.Len()),
 	}, nil
 }
 
@@ -43,20 +46,29 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 //
 // The beamformer stage evaluates Eq. 13 in the correlation domain
 // (PB = aᴴ·R̂·a / M²) inside the subspace stage's angle scan
-// (music.Result.Beam): both quadratic forms are folded to per-diagonal
-// sums and read one steering row per angle. It is the same value as the
-// snapshot-domain BeamPower up to floating-point association, and
-// costs M−1 real pairs per angle with no second pass over the
-// snapshots or the grid.
+// (music.Workspace.SpectrumInto): both quadratic forms are folded to
+// per-diagonal sums and read one steering row per pair of mirror
+// angles. It is the same value as the snapshot-domain BeamPower up to
+// floating-point association, with no second pass over the snapshots
+// or the grid.
 func (w *Workspace) Compute(x *cmatrix.Matrix) (*Spectrum, error) {
-	mres, err := w.mw.Compute(x)
-	if err != nil {
+	w.rows = x.RowViews(w.rows)
+	return w.ComputeRows(w.rows)
+}
+
+// ComputeRows is Compute on N snapshot rows of M samples each, read in
+// place — the shape a decoded RO_ACCESS_REPORT carries.
+func (w *Workspace) ComputeRows(rows [][]complex128) (*Spectrum, error) {
+	n := w.mw.Len()
+	slab := make([]float64, 2*n)
+	power, beam := slab[:n:n], slab[n:]
+	if err := w.mw.SpectrumInto(w.spec, beam, rows); err != nil {
 		return nil, err
 	}
-	NormalizeInto(w.nor, mres.Angles, mres.Spectrum, w.opts.PeakRatio)
-	power := make([]float64, len(mres.Beam))
+	angles := w.mw.Angles()
+	w.nor.normalizeInto(power, angles, w.spec, w.opts.PeakRatio)
 	for i := range power {
-		power[i] = mres.Beam[i] * w.nor[i]
+		power[i] *= beam[i]
 	}
-	return &Spectrum{Angles: mres.Angles, Power: power, Beam: mres.Beam, Music: mres}, nil
+	return &Spectrum{Angles: angles, Power: power, Beam: beam}, nil
 }

@@ -1,6 +1,8 @@
 package pmusic
 
 import (
+	"errors"
+	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -28,9 +30,12 @@ func preTableBeamPower(x *cmatrix.Matrix, arr *rf.Array, angles []float64) []flo
 
 // beamPowerCorr is the correlation-domain beam stage standalone:
 // PB(θ)·M² = tr(R̂) + 2·Σ_d Re(c_d·a_d) with the diagonal sums
-// c_d = Σᵢ R̂[i,i+d], summed in the same order as the shared MUSIC and
-// beamformer scan that fills Spectrum.Beam, so beamcorr_test can pin
-// that arithmetic against the time-domain BeamPower.
+// c_d = Σᵢ R̂[i,i+d], evaluated the way the shared MUSIC and beamformer
+// scan fills Spectrum.Beam: from X = Σ Re c_d·Re a_d and
+// Y = Σ Im c_d·Im a_d in ascending d, row i of the table gives angle i
+// as X − Y and its mirror n−1−i, whose row is the conjugate, as X + Y.
+// beamcorr_test pins this arithmetic against the time-domain
+// BeamPower.
 func beamPowerCorr(out []float64, r *cmatrix.Matrix, tab *rf.SteeringTable) {
 	m := r.Rows
 	var tr float64
@@ -44,13 +49,15 @@ func beamPowerCorr(out []float64, r *cmatrix.Matrix, tab *rf.SteeringTable) {
 		}
 	}
 	inv := 1 / float64(m*m)
-	for ai := range out {
-		a := tab.Steering(ai)
-		var off float64
+	for i, j := 0, len(out)-1; i <= j; i, j = i+1, j-1 {
+		a := tab.Steering(i)
+		var x, y float64
 		for d := 1; d < m; d++ {
-			off += real(diag[d])*real(a[d]) - imag(diag[d])*imag(a[d])
+			x += real(diag[d]) * real(a[d])
+			y += imag(diag[d]) * imag(a[d])
 		}
-		out[ai] = (tr + 2*off) * inv
+		out[j] = (tr + 2*(x+y)) * inv
+		out[i] = (tr + 2*(x-y)) * inv
 	}
 }
 
@@ -146,9 +153,6 @@ func TestWorkspaceComputeBitIdentical(t *testing.T) {
 				t.Fatalf("trial %d: Angles[%d] differ", trial, i)
 			}
 		}
-		if got.Music.Sources != want.Music.Sources {
-			t.Fatalf("trial %d: sources = %d, want %d", trial, got.Music.Sources, want.Music.Sources)
-		}
 	}
 }
 
@@ -163,13 +167,82 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	if _, err := ws.Compute(x); err != nil {
 		t.Fatal(err)
 	}
+	// Only the Spectrum escapes: one slab for Power and Beam plus the
+	// struct. The MUSIC spectrum, noise subspace, eigendecomposition and
+	// normalization peaks all stay in workspace scratch.
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := ws.Compute(x); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 32 {
-		t.Errorf("steady-state Workspace.Compute allocates %.0f times per run, want ≤32", allocs)
+	if allocs > 2 {
+		t.Errorf("steady-state Workspace.Compute allocates %.0f times per run, want ≤2", allocs)
+	}
+}
+
+// A returned Spectrum owns its Power and Beam: a later Compute on the
+// same workspace, with different input, must leave it untouched.
+func TestWorkspaceSpectrumNotAliased(t *testing.T) {
+	arr := testArray(t, 8)
+	rng := rand.New(rand.NewSource(10))
+	ws, err := NewWorkspace(arr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := ws.Compute(synth(arr, []float64{0.7, 2.1}, []float64{1, 0.5}, 16, 0.05, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	power := append([]float64(nil), first.Power...)
+	beam := append([]float64(nil), first.Beam...)
+	second, err := ws.Compute(synth(arr, []float64{1.4}, []float64{2}, 12, 0.1, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &second.Power[0] == &first.Power[0] || &second.Beam[0] == &first.Beam[0] {
+		t.Fatal("second spectrum shares storage with the first")
+	}
+	for i := range power {
+		if first.Power[i] != power[i] || first.Beam[i] != beam[i] {
+			t.Fatalf("first spectrum changed at %d after a second Compute", i)
+		}
+	}
+}
+
+// ComputeRows reads snapshot rows in place with the arithmetic of
+// Compute on the equivalent matrix, and rejects rows of the wrong
+// width.
+func TestWorkspaceComputeRowsMatchesCompute(t *testing.T) {
+	arr := testArray(t, 8)
+	rng := rand.New(rand.NewSource(12))
+	x := synth(arr, []float64{0.9, 2.4}, []float64{1, 0.6}, 10, 0.05, rng)
+	ws, err := NewWorkspace(arr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ws.Compute(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]complex128, x.Rows)
+	for r := range rows {
+		rows[r] = append([]complex128(nil), x.Data[r*x.Cols:(r+1)*x.Cols]...)
+	}
+	got, err := ws.ComputeRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Power {
+		if got.Power[i] != want.Power[i] || got.Beam[i] != want.Beam[i] {
+			t.Fatalf("ComputeRows differs from Compute at %d", i)
+		}
+	}
+	rows[3] = rows[3][:7]
+	if _, err := ws.ComputeRows(rows); !errors.Is(err, music.ErrBadInput) {
+		t.Fatalf("short row: err = %v, want music.ErrBadInput", err)
+	}
+	if _, err := ws.ComputeRows(nil); !errors.Is(err, music.ErrBadInput) {
+		t.Fatalf("no rows: err = %v, want music.ErrBadInput", err)
 	}
 }
 
@@ -193,6 +266,55 @@ func TestPowerAtUniformGridMatchesLinearScan(t *testing.T) {
 		}
 		if got := s.PowerAt(theta); got != power[best] {
 			t.Fatalf("PowerAt(%v) = %v, want %v (bin %d)", theta, got, power[best], best)
+		}
+	}
+}
+
+// Workspaces on different goroutines share one steering table, read
+// only: concurrent spectra must equal the serial ones bit for bit
+// (and, under -race, show no data race).
+func TestWorkspacesShareTableConcurrently(t *testing.T) {
+	arr := testArray(t, 8)
+	rng := rand.New(rand.NewSource(14))
+	inputs := make([]*cmatrix.Matrix, 6)
+	want := make([]*Spectrum, len(inputs))
+	for i := range inputs {
+		inputs[i] = synth(arr, []float64{0.5 + 0.3*float64(i), 2.2}, []float64{1, 0.6}, 10, 0.05, rng)
+		sp, err := Compute(inputs[i], arr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sp
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			ws, err := NewWorkspace(arr, Options{})
+			if err != nil {
+				errs <- err
+				return
+			}
+			for round := 0; round < 10; round++ {
+				for i, x := range inputs {
+					sp, err := ws.Compute(x)
+					if err != nil {
+						errs <- err
+						return
+					}
+					for k := range sp.Power {
+						if sp.Power[k] != want[i].Power[k] || sp.Beam[k] != want[i].Beam[k] {
+							errs <- fmt.Errorf("input %d angle %d differs from the serial spectrum", i, k)
+							return
+						}
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
