@@ -450,8 +450,8 @@ func RawSnapshotsToMatrix(snapshot [][]complex128) (*cmatrix.Matrix, error) {
 
 // CheckSnapshot reports whether an LLRP snapshot payload is a usable
 // matrix: at least one row, all rows the same length. Consumers that
-// read the rows in place (pmusic.Workspace.ComputeRows) check with it
-// to reject exactly what RawSnapshotsToMatrix rejects.
+// read the rows in place (pmusic.Workspace.ComputeRows) can use it to
+// report a rejected snapshot with RawSnapshotsToMatrix's error.
 func CheckSnapshot(snapshot [][]complex128) error {
 	if len(snapshot) == 0 {
 		return errors.New("dwatch: empty snapshot")

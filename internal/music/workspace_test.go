@@ -9,42 +9,89 @@ import (
 	"dwatch/internal/rf"
 )
 
-// preTableCompute replicates the pre-steering-table MUSIC pipeline:
-// the correlation from Correlation, the subspace stage from a fresh
-// workspace's own helpers (TestRealPathMatchesHermitian pins that stage
-// against the complex solver), and the collapsed quadratic forms
-// evaluated per angle on steering vectors built with
-// Array.SteeringSub, paired as the scan pairs them. It is the
-// reference the table-backed entry points must match bit for bit.
+// preTableCompute replicates the pre-steering-table MUSIC pipeline
+// without the workspace's subspace helpers (decompose, sources,
+// noiseInto), so it pins them as well as the scan. The complex path
+// (NoSmoothing, EigenQR, EigenJacobi) runs SmoothForwardBackward and
+// the package-level cmatrix solvers; the real-valued path (smoothing on,
+// EigenAuto) runs realSmoothed, a fresh SymEigenWorkspace and the dense
+// product Q·E with denseQ. The source count is clamped inline and the
+// collapsed quadratic forms are evaluated per angle on steering vectors
+// built with Array.SteeringSub, paired as the scan pairs them. It is
+// the reference the table-backed entry points must match bit for bit.
 func preTableCompute(t *testing.T, x *cmatrix.Matrix, arr *rf.Array, opts Options) *Result {
 	t.Helper()
+	opts = opts.withDefaults(arr.Elements)
 	r, err := Correlation(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWorkspace(arr, opts)
-	if err != nil {
-		t.Fatal(err)
+	if opts.NoSmoothing {
+		opts.Subarray = arr.Elements
 	}
-	vals, eig, err := ws.decompose(r)
-	if err != nil {
-		t.Fatal(err)
+	l := opts.Subarray
+	var eig *cmatrix.Eigen
+	if !opts.NoSmoothing && opts.Eigensolver == EigenAuto {
+		c := make([]float64, l*l)
+		realSmoothed(c, cmatrix.New(l, l), r)
+		var ws cmatrix.SymEigenWorkspace
+		if err := ws.EigenSymmetric(c, l); err != nil {
+			t.Fatal(err)
+		}
+		e := cmatrix.New(l, l)
+		for i, v := range ws.Vectors {
+			e.Data[i] = complex(v, 0)
+		}
+		eig = &cmatrix.Eigen{Values: ws.Values, Vectors: mustMul(t, denseQ(l), e)}
+	} else {
+		sm := r
+		if !opts.NoSmoothing {
+			if sm, err = SmoothForwardBackward(r, l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch opts.Eigensolver {
+		case EigenQR:
+			eig, err = cmatrix.EigenHermitianQR(sm)
+		case EigenJacobi:
+			eig, err = cmatrix.EigenHermitianJacobi(sm)
+		default:
+			eig, err = cmatrix.EigenHermitian(sm)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	p := ws.sources(vals)
-	noise := ws.noiseInto(p, eig).Clone()
+	p := opts.Sources
+	if p <= 0 {
+		p = EstimateSources(eig.Values, opts.Threshold)
+	}
+	if p < 1 {
+		p = 1
+	}
+	if p >= l {
+		p = l - 1
+	}
+	q := l - p
+	noise := cmatrix.New(l, q)
+	for j := 0; j < q; j++ {
+		col := eig.Vectors.Col(p + j)
+		for i := 0; i < l; i++ {
+			noise.Set(i, j, col[i])
+		}
+	}
 	var proj, corr diagonalForm
 	proj.foldProjector(noise)
 	corr.fold(r)
-	m, l := arr.Elements, ws.opts.Subarray
-	angles := rf.AngleGrid(ws.opts.GridSize)
+	m := arr.Elements
+	angles := rf.AngleGrid(opts.GridSize)
 	spec := make([]float64, len(angles))
 	beam := make([]float64, len(angles))
 	for i := range angles {
 		spec[i] = pseudo(proj.scanned(arr, angles, i, l))
 		beam[i] = corr.scanned(arr, angles, i, m) * (1 / float64(m*m))
 	}
-	return &Result{Angles: angles, Spectrum: spec, Beam: beam, Sources: p, Noise: noise,
-		Eigen: &cmatrix.Eigen{Values: append([]float64(nil), vals...)}, Subarray: l}
+	return &Result{Angles: angles, Spectrum: spec, Beam: beam, Sources: p, Noise: noise, Eigen: eig, Subarray: l}
 }
 
 func sameResult(t *testing.T, tag string, got, want *Result) {
@@ -78,6 +125,11 @@ func sameResult(t *testing.T, tag string, got, want *Result) {
 			t.Fatalf("%s: eigenvalue %d differs", tag, i)
 		}
 	}
+	for i := range want.Eigen.Vectors.Data {
+		if got.Eigen.Vectors.Data[i] != want.Eigen.Vectors.Data[i] {
+			t.Fatalf("%s: eigenvector entry %d differs", tag, i)
+		}
+	}
 }
 
 func TestWorkspaceBitIdenticalToPreTablePath(t *testing.T) {
@@ -87,8 +139,14 @@ func TestWorkspaceBitIdenticalToPreTablePath(t *testing.T) {
 		{},
 		{GridSize: 181},
 		{Sources: 3},
+		{Sources: 8},      // clamped to L−1
+		{Threshold: 1e12}, // estimates 0, clamped to 1
 		{NoSmoothing: true},
+		{NoSmoothing: true, Sources: 8},
 		{Subarray: 4, Threshold: 5},
+		{Subarray: 5},
+		{Eigensolver: EigenQR},
+		{Eigensolver: EigenJacobi},
 	} {
 		x := synthSnapshots(arr, []float64{0.7, 1.9}, []float64{1, 0.6}, 24, 0.05, true, rng)
 		want := preTableCompute(t, x, arr, opts)

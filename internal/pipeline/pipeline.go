@@ -53,6 +53,7 @@ import (
 	"dwatch/internal/health"
 	"dwatch/internal/llrp"
 	"dwatch/internal/loc"
+	"dwatch/internal/music"
 	"dwatch/internal/obs"
 	"dwatch/internal/pmusic"
 	"dwatch/internal/rf"
@@ -539,13 +540,12 @@ func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
 // computeSnapshot turns one raw snapshot into a P-MUSIC spectrum,
 // through the test seam when set, otherwise through the worker's
 // reusable workspace for the job's array (created on first use), which
-// correlates the decoded rows in place.
+// correlates and validates the decoded rows in place. A rejected
+// snapshot that is empty or ragged reports the error
+// dwatch.RawSnapshotsToMatrix gives for it.
 func (p *Pipeline) computeSnapshot(ws map[*rf.Array]*pmusic.Workspace, arr *rf.Array, snap [][]complex128) (*pmusic.Spectrum, error) {
 	if p.compute != nil {
 		return p.compute(snap, arr, p.cfg.PMusic)
-	}
-	if err := dwatch.CheckSnapshot(snap); err != nil {
-		return nil, err
 	}
 	w := ws[arr]
 	if w == nil {
@@ -555,7 +555,13 @@ func (p *Pipeline) computeSnapshot(ws map[*rf.Array]*pmusic.Workspace, arr *rf.A
 		}
 		ws[arr] = w
 	}
-	return w.ComputeRows(snap)
+	sp, err := w.ComputeRows(snap)
+	if errors.Is(err, music.ErrBadInput) {
+		if serr := dwatch.CheckSnapshot(snap); serr != nil {
+			return nil, serr
+		}
+	}
+	return sp, err
 }
 
 // teardown runs the ordered shutdown exactly once: stop the intake,
