@@ -3,13 +3,12 @@
 // against captured deployments, and the throughput regression harness
 // for the streaming pipeline.
 //
-// It replays two capture formats through internal/replay:
-//
-//   - a WAL directory written by dwatchd -wal-dir (-wal-dir here too),
-//     the native segmented, checksummed format — replay stops cleanly
-//     at the first damaged record and reports where;
-//   - a legacy stream written by dwatchd -record (-in), deprecated but
-//     still replayable; -convert graduates one into WAL segments.
+// It replays one environment's WAL directory (<wal-dir>/<env>/ as
+// dwatchd -wal-dir writes it) through internal/replay: the segmented,
+// checksummed format, where replay stops cleanly at the first damaged
+// record and reports where. -config names the environment's deployment
+// JSON; its file stem is the environment ID, which prefixes the reader
+// IDs exactly as dwatchd did when it wrote the WAL.
 //
 // Replay paces at -speed× real time (0 = unthrottled: the pipeline is
 // fed as fast as it accepts — the regression-harness mode). The run
@@ -30,12 +29,9 @@
 //
 // Usage:
 //
-//	dwatch-replay -wal-dir DIR [-env hall] [-speed N] [-workers N]
+//	dwatch-replay -wal-dir DIR -config ENV.json [-speed N] [-workers N]
 //	              [-eigensolver auto|qr|jacobi] [-asm-shards N] [-json]
-//	dwatch-replay -in session.dwrl [...]
-//	dwatch-replay -convert -in session.dwrl -wal-dir DIR
-//	dwatch-replay -convert -in CORPUS_DIR -wal-dir ROOT   (batch: each *.dwrl → ROOT/<stem>/)
-//	dwatch-replay ... [-http 127.0.0.1:8080]
+//	              [-http 127.0.0.1:8080]
 //
 // -http serves the observability plane during the replay — useful for
 // watching /metrics or the /api/v1/positions SSE stream while a long
@@ -52,24 +48,20 @@ import (
 	"time"
 
 	"dwatch/internal/dwatch"
+	"dwatch/internal/fleet"
 	"dwatch/internal/health"
 	"dwatch/internal/music"
 	"dwatch/internal/obs"
 	"dwatch/internal/pipeline"
 	"dwatch/internal/pmusic"
 	"dwatch/internal/replay"
-	"dwatch/internal/rf"
 	"dwatch/internal/serve"
-	"dwatch/internal/sim"
 	"dwatch/internal/tracing"
-	"dwatch/internal/wal"
 )
 
 func main() {
-	in := flag.String("in", "", "legacy record file written by dwatchd -record (deprecated format); with -convert, may be a directory of *.dwrl fixtures")
-	walDir := flag.String("wal-dir", "", "WAL directory written by dwatchd -wal-dir (with -convert: the destination)")
-	convert := flag.Bool("convert", false, "convert -in (legacy) into WAL segments at -wal-dir instead of replaying")
-	env := flag.String("env", "hall", "environment preset (array geometry)")
+	walDir := flag.String("wal-dir", "", "one environment's WAL directory, as dwatchd -wal-dir writes it (<root>/<env>/)")
+	config := flag.String("config", "", "the environment's deployment config JSON (file stem = environment ID)")
 	speed := flag.Float64("speed", 0, "real-time multiplier: 1 = original pacing, 10 = 10x, 0 = unthrottled")
 	dropFloor := flag.Float64("drop-floor", 0, "override the per-path drop floor (0 = default)")
 	workers := flag.Int("workers", 0, "spectrum worker pool size (0 = GOMAXPROCS)")
@@ -88,47 +80,24 @@ func main() {
 		fatal(fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat))
 	}
 
-	if *convert {
-		if err := runConvert(*in, *walDir); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if (*in == "") == (*walDir == "") {
-		fatal(fmt.Errorf("exactly one of -wal-dir or -in is required (or -convert with both)"))
+	if *walDir == "" || *config == "" {
+		fatal(fmt.Errorf("-wal-dir and -config are required"))
 	}
 	if *speed < 0 {
 		fatal(fmt.Errorf("-speed %v: must be >= 0", *speed))
 	}
 
-	cfg, err := preset(*env)
+	envID, cfg, err := fleet.ReadConfig(*config)
 	if err != nil {
 		fatal(err)
 	}
-	sc, err := sim.Build(cfg)
+	_, dep, err := fleet.Deployment(envID, cfg)
 	if err != nil {
 		fatal(err)
 	}
-	arrays := map[string]*rf.Array{}
-	for _, r := range sc.Readers {
-		arrays[r.ID] = r.Array
-	}
-	dep := pipeline.Deployment{Arrays: arrays, Grid: sc.Grid}
-
-	var src replay.Source
-	if *walDir != "" {
-		s, err := replay.OpenWAL(*walDir)
-		if err != nil {
-			fatal(err)
-		}
-		src = s
-	} else {
-		logger.Warn("-in replays the deprecated legacy format; convert with -convert and use -wal-dir")
-		s, err := replay.OpenLegacy(*in)
-		if err != nil {
-			fatal(err)
-		}
-		src = s
+	src, err := replay.OpenWAL(*walDir)
+	if err != nil {
+		fatal(err)
 	}
 	defer src.Close()
 
@@ -157,10 +126,9 @@ func main() {
 			pipeline.WithTracer(tracer),
 			pipeline.WithHealth(mon),
 		)
-		envName := sc.Name
 		onFix = func(fix pipeline.Fix) {
 			hub.Publish(serve.Position{
-				Env: envName, Seq: fix.Seq,
+				Env: envID, Seq: fix.Seq,
 				X: fix.Pos.X, Y: fix.Pos.Y,
 				Confidence: fix.Confidence, Views: fix.Views,
 				Readers: fix.Readers, Degraded: fix.Degraded,
@@ -233,66 +201,6 @@ func printSummary(sum *replay.Summary) {
 	if sum.Damage != nil {
 		fmt.Printf("warning: WAL damage in %s at offset %d: %s\n",
 			sum.Damage.Segment, sum.Damage.Offset, sum.Damage.Reason)
-	}
-}
-
-// runConvert graduates a legacy capture into WAL segments, preserving
-// timestamps so pacing still works. When -in is a directory, every
-// *.dwrl fixture inside becomes its own WAL at <wal-dir>/<stem>/ — the
-// per-environment layout dwatchd -env-dir expects, so a corpus of
-// legacy captures converts into a fleet-replayable root in one pass.
-func runConvert(in, dir string) error {
-	if in == "" || dir == "" {
-		return fmt.Errorf("-convert needs both -in (legacy source) and -wal-dir (destination)")
-	}
-	if st, err := os.Stat(in); err == nil && st.IsDir() {
-		counts, err := wal.ConvertLegacyDir(in, dir, wal.WithLogger(logger))
-		for stem, n := range counts {
-			logger.Info("converted legacy capture", "in", stem+".dwrl",
-				"wal_dir", dir+"/"+stem, "records", n)
-			fmt.Printf("converted %s.dwrl: %d records into %s/%s\n", stem, n, dir, stem)
-		}
-		if err != nil {
-			return fmt.Errorf("batch convert: %w", err)
-		}
-		fmt.Printf("converted %d fixtures into %s\n", len(counts), dir)
-		return nil
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := wal.Open(dir, wal.WithLogger(logger))
-	if err != nil {
-		return err
-	}
-	n, err := wal.ConvertLegacy(f, w)
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("converted %d records, then: %w", n, err)
-	}
-	st := w.Status()
-	logger.Info("converted legacy capture", "in", in, "wal_dir", dir,
-		"records", n, "segments", st.Segments, "bytes", st.Bytes)
-	fmt.Printf("converted %d records into %s (%d segments, %d bytes)\n", n, dir, st.Segments, st.Bytes)
-	return nil
-}
-
-func preset(name string) (sim.Config, error) {
-	switch name {
-	case "library":
-		return sim.LibraryConfig(), nil
-	case "laboratory", "lab":
-		return sim.LaboratoryConfig(), nil
-	case "hall":
-		return sim.HallConfig(), nil
-	case "table":
-		return sim.TableConfig(), nil
-	default:
-		return sim.Config{}, fmt.Errorf("unknown environment %q", name)
 	}
 }
 

@@ -4,16 +4,12 @@ import (
 	"context"
 	"errors"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"dwatch/internal/api"
 	"dwatch/internal/cluster"
 	"dwatch/internal/fleet"
-	"dwatch/internal/obs"
-	"dwatch/internal/profiling"
 	"dwatch/internal/serve"
+	"dwatch/internal/sim"
 )
 
 // Clustered fleet mode (-env-dir plus -cluster): the env directory is
@@ -22,48 +18,37 @@ import (
 // heartbeats, and reconciles the fleet against each response, adopting
 // (WAL replay included) and draining environments as slot assignments
 // move. -simulate starts traffic on each environment when this node
-// adopts it and stops when the environment drains away.
-func runFleetClustered(opts fleetRunOptions, reg *obs.Registry, hub *serve.Hub, f *fleet.Fleet, ring *profiling.Ring) error {
+// adopts it and stops when the environment drains away; dialed readers
+// (-dial) follow their environment the same way, since fleet.Add and
+// Remove start and stop its supervisor.
+func runFleetClustered(opts runOptions, f *fleet.Fleet, catalog map[string]sim.Config, ids []string, planeOpts []serve.Option) error {
 	if opts.httpAddr == "" {
 		return errors.New("-cluster requires -http: the gateway proxies environment requests to this node")
 	}
-	catalog, ids, err := fleet.ReadConfigDir(opts.envDir)
-	if err != nil {
-		return err
-	}
-
 	nodeID := opts.nodeID
 	if nodeID == "" {
-		if nodeID, err = os.Hostname(); err != nil {
+		host, err := os.Hostname()
+		if err != nil {
 			return err
 		}
+		nodeID = host
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	planeOpts := []serve.Option{
-		serve.WithRegistry(reg),
-		serve.WithHub(hub),
-		serve.WithEnvs(f.Infos),
-		serve.WithEnvLookup(f.EnvHandle),
-		serve.WithReady(f.Ready),
-		serve.WithFleetStats(func() api.FleetStats { return fleetStats(f) }),
-		serve.WithCluster(func() api.ClusterStatus {
-			st := api.ClusterStatus{Role: "node", Node: nodeID, Assignments: map[string]string{}}
-			for _, id := range f.IDs() {
-				st.Assignments[id] = nodeID
-			}
-			return st
-		}),
-		serve.WithLogger(logger),
-	}
-	planeOpts = append(planeOpts, profileOptions(ring)...)
-	plane := serve.New(planeOpts...)
+	plane := serve.New(append(planeOpts, serve.WithCluster(func() api.ClusterStatus {
+		st := api.ClusterStatus{Role: "node", Node: nodeID, Assignments: map[string]string{}}
+		for _, id := range f.IDs() {
+			st.Assignments[id] = nodeID
+		}
+		return st
+	}))...)
 	planeAddr, err := plane.Start(opts.httpAddr)
 	if err != nil {
 		return err
 	}
+	defer shutdownPlane(plane)
 	advertise := opts.advertise
 	if advertise == "" {
 		advertise = "http://" + planeAddr.String()
@@ -88,10 +73,10 @@ func runFleetClustered(opts fleetRunOptions, reg *obs.Registry, hub *serve.Hub, 
 	runDone := make(chan error, 1)
 	go func() { runDone <- agent.Run(ctx) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	sigDone := make(chan struct{})
+	go func() { waitSignal(); close(sigDone) }()
 	select {
-	case <-sig:
+	case <-sigDone:
 	case err := <-runDone:
 		if err != nil && !errors.Is(err, context.Canceled) {
 			logger.Error("cluster agent stopped", "error", err)
@@ -99,8 +84,6 @@ func runFleetClustered(opts fleetRunOptions, reg *obs.Registry, hub *serve.Hub, 
 	}
 	agent.Close() // leaves the directory (waits for the Run loop)
 	cancel()
-	f.Close() // graceful drain: pipeline flush, WAL close
-	sctx, scancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer scancel()
-	return plane.Shutdown(sctx)
+	f.Close() // graceful drain: supervisors stop, pipeline flush, WAL close
+	return nil
 }

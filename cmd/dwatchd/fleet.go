@@ -11,30 +11,28 @@ import (
 	"dwatch/internal/api"
 	"dwatch/internal/api/adapt"
 	"dwatch/internal/fleet"
+	"dwatch/internal/llrp"
 	"dwatch/internal/obs"
 	"dwatch/internal/pipeline"
 	"dwatch/internal/profiling"
 	"dwatch/internal/serve"
+	"dwatch/internal/sim"
 )
 
-// Fleet mode (-env-dir): one dwatchd process fronting N deployments.
-// Every *.json deployment config in the directory becomes an
-// environment with its own pipeline, tracer, health monitor, and WAL
-// subdirectory (-wal-dir is the root: <root>/<env>/), all behind one
-// observability plane with per-env routes (/api/v1/{env}/...) and one
-// snapshot+delta position hub. -simulate drives every environment
-// concurrently with generated LLRP rounds; afterwards the process
-// keeps serving (when -http is set) until SIGINT/SIGTERM so the fleet
-// can be inspected. Ingest from real LLRP readers is not routed in
-// fleet mode yet — environments are fed by simulation or WAL replay.
+// runOptions carries the parsed flags.
+type runOptions struct {
+	envDir string
+	listen string
+	dial   string
 
-type fleetRunOptions struct {
-	envDir      string
 	simulate    bool
 	rounds      int
 	simInterval time.Duration
-	httpAddr    string
+	chaos       bool
+	chaosFlap   time.Duration
+	chaosSeed   int64
 
+	httpAddr   string
 	profileDir string
 
 	clusterURL string // gateway base URL; non-empty switches to cluster mode
@@ -52,7 +50,12 @@ type fleetRunOptions struct {
 	seqTTL   time.Duration
 }
 
-func runFleet(opts fleetRunOptions) error {
+// dialed reports whether environments supervise dialed readers.
+func (o runOptions) dialed() bool { return o.dial != "" || o.chaos }
+
+// runFleet is dwatchd's one run path: a fleet of environments fed by
+// the configured sources, behind one observability plane.
+func runFleet(opts runOptions) error {
 	reg := obs.NewRegistry()
 	hub := serve.NewHub(serve.WithHubObs(reg))
 	obs.RegisterBuildInfo(reg)
@@ -69,6 +72,11 @@ func runFleet(opts fleetRunOptions) error {
 		defer rcancel()
 		go ring.Run(rctx)
 		logger.Info("continuous profiling up", "dir", opts.profileDir)
+	}
+
+	catalog, catalogIDs, err := fleet.ReadConfigDir(opts.envDir)
+	if err != nil {
+		return err
 	}
 
 	fopts := []fleet.Option{
@@ -91,11 +99,56 @@ func runFleet(opts fleetRunOptions) error {
 		}
 		fopts = append(fopts, fleet.WithWALRoot(opts.walDir, wopts...))
 	}
+	var sims map[string][]*sim.ReaderEndpoint
+	if opts.dialed() {
+		eps, s, err := dialEndpoints(opts, catalog, catalogIDs)
+		// Endpoints stop after the fleet (deferred below) has drained,
+		// so no supervisor sees its readers vanish first.
+		defer stopEndpoints(s)
+		if err != nil {
+			return err
+		}
+		sims = s
+		fopts = append(fopts, fleet.WithDial(eps, sessionOptions(opts)...))
+	}
 	f := fleet.New(fopts...)
 	defer f.Close()
 
+	if opts.listen != "" {
+		srv := &llrp.Server{Handler: f}
+		addr, err := srv.Listen(opts.listen)
+		if err != nil {
+			return err
+		}
+		go func() {
+			if err := srv.Serve(); err != nil && err != llrp.ErrServerClosed {
+				logger.Error("llrp listener failed", "error", err)
+			}
+		}()
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+		}()
+		logger.Info("llrp listening", "addr", addr.String())
+	}
+
+	planeOpts := []serve.Option{
+		serve.WithRegistry(reg),
+		serve.WithHub(hub),
+		serve.WithEnvs(f.Infos),
+		serve.WithEnvLookup(f.EnvHandle),
+		serve.WithReady(f.Ready),
+		serve.WithFleetStats(func() api.FleetStats { return fleetStats(f) }),
+		serve.WithLogger(logger),
+	}
+	if opts.dialed() {
+		planeOpts = append(planeOpts, serve.WithReaders(f.Readers), serve.WithDegraded(f.Degraded))
+	}
+	planeOpts = append(planeOpts, profileOptions(ring)...)
+
 	if opts.clusterURL != "" {
-		return runFleetClustered(opts, reg, hub, f, ring)
+		return runFleetClustered(opts, f, catalog, catalogIDs, planeOpts)
 	}
 
 	ids, err := f.LoadDir(opts.envDir)
@@ -104,106 +157,88 @@ func runFleet(opts fleetRunOptions) error {
 	}
 	logger.Info("fleet up", "envs", len(ids), "dir", opts.envDir,
 		"workers", pipelineWorkers(opts.workers), "overload", opts.overload.String(),
-		"wal_root", opts.walDir)
+		"wal_root", opts.walDir, "listen", opts.listen, "dialed", opts.dialed())
 
-	var plane *serve.Server
 	if opts.httpAddr != "" {
-		planeOpts := []serve.Option{
-			serve.WithRegistry(reg),
-			serve.WithHub(hub),
-			serve.WithEnvs(f.Infos),
-			serve.WithEnvLookup(f.EnvHandle),
-			serve.WithReady(f.Ready),
-			serve.WithFleetStats(func() api.FleetStats { return fleetStats(f) }),
-			serve.WithLogger(logger),
-		}
-		planeOpts = append(planeOpts, profileOptions(ring)...)
-		plane = serve.New(planeOpts...)
+		plane := serve.New(planeOpts...)
 		planeAddr, err := plane.Start(opts.httpAddr)
 		if err != nil {
 			return err
 		}
+		defer shutdownPlane(plane)
 		logger.Info("observability plane up", "url", "http://"+planeAddr.String()+"/",
 			"endpoints", "metrics healthz readyz api/v1/envs api/v1/{env}")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	simDone := make(chan struct{})
-	if opts.simulate {
-		var wg sync.WaitGroup
-		for _, id := range ids {
-			wg.Add(1)
-			go func(id string) {
-				defer wg.Done()
-				if err := f.Simulate(ctx, id, opts.rounds, 0, opts.simInterval); err != nil && ctx.Err() == nil {
-					logger.Error("simulate failed", "env", id, "error", err)
-				}
-			}(id)
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		var drive func() error
+		switch {
+		case opts.simulate:
+			drive = func() error { return f.Simulate(ctx, id, opts.rounds, 0, opts.simInterval) }
+		case opts.chaos && len(sims[id]) > 0:
+			drive = func() error { return runChaos(ctx, f, id, sims[id], opts) }
+		default:
+			continue
 		}
+		wg.Add(1)
 		go func() {
-			wg.Wait()
-			close(simDone)
-			logger.Info("fleet simulation complete", "envs", len(ids), "rounds", opts.rounds)
+			defer wg.Done()
+			if err := drive(); err != nil && ctx.Err() == nil {
+				logger.Error("driver failed", "env", id, "error", err)
+			}
 		}()
-	} else {
-		close(simDone)
 	}
+	driversDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(driversDone)
+		if opts.simulate || opts.chaos {
+			logger.Info("drivers complete", "envs", len(ids), "rounds", opts.rounds)
+		}
+	}()
 
-	if plane == nil {
-		// Nothing to serve: run the simulation (if any) to completion
-		// and exit.
-		<-simDone
+	if opts.httpAddr == "" && opts.listen == "" && opts.dial == "" {
+		// Nothing to serve: run the drivers (if any) to completion and
+		// exit; the deferred Close drains every environment.
+		<-driversDone
 		return nil
 	}
+	waitSignal()
+	cancel()
+	<-driversDone
+	return nil
+}
 
+// waitSignal blocks until SIGINT or SIGTERM.
+func waitSignal() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	cancel()
-	<-simDone
-	f.Close()
-	sctx, scancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer scancel()
-	return plane.Shutdown(sctx)
 }
 
-// fleetStats is the aggregate /api/v1/stats body in fleet mode: one
-// pipeline snapshot per environment.
+// shutdownPlane stops the observability plane, giving in-flight
+// requests a few seconds.
+func shutdownPlane(plane *serve.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if err := plane.Shutdown(ctx); err != nil {
+		logger.Warn("observability plane shutdown", "error", err)
+	}
+}
+
+// fleetStats is the aggregate /api/v1/stats body: one pipeline
+// snapshot per environment.
 func fleetStats(f *fleet.Fleet) api.FleetStats {
 	out := api.FleetStats{}
 	for _, id := range f.IDs() {
-		if e, ok := f.Env(id); ok && e.Pipeline() != nil {
+		if e, ok := f.Env(id); ok {
 			out[id] = adapt.PipelineStats(e.Pipeline().Stats())
 		}
 	}
 	return out
-}
-
-// legacyFleetOptions registers the legacy single-deployment server as
-// a one-environment fleet, so /api/v1/envs and the env-scoped routes
-// serve identically whether dwatchd fronts one deployment or many.
-func legacyFleetOptions(srv *server) []serve.Option {
-	f := fleet.New(fleet.WithObs(srv.obs), fleet.WithHub(srv.hub), fleet.WithLogger(logger))
-	a := fleet.Adopted{
-		Name:    srv.sc.Name,
-		Readers: len(srv.sc.Readers),
-		Tags:    srv.sc.Cfg.Tags,
-		Stats:   func() api.PipelineStats { return adapt.PipelineStats(srv.pipe.Stats()) },
-		Tracer:  srv.tracer,
-		Health:  srv.health,
-	}
-	if srv.wal != nil {
-		a.WALStatus = func() api.WALStatus { return adapt.WALStatus(srv.wal.Status()) }
-	}
-	if _, err := f.Adopt(srv.sc.Name, a); err != nil {
-		logger.Warn("legacy env adoption failed; env-scoped routes disabled", "error", err)
-		return nil
-	}
-	return []serve.Option{
-		serve.WithEnvs(f.Infos),
-		serve.WithEnvLookup(f.EnvHandle),
-	}
 }
 
 // profileOptions exposes a continuous-profiling ring on

@@ -1,119 +1,103 @@
-// Command dwatchd is the D-Watch localization server: it listens for
-// LLRP connections from RFID readers, consumes their RO_ACCESS_REPORTs
-// (per-antenna I/Q snapshots per tag), maintains per-reader baseline
-// AoA spectra, and prints localization fixes whenever enough readers
-// have reported fresh evidence — the deployment of Section 5, where all
-// backscatter packets are forwarded to a central server over Ethernet.
+// Command dwatchd is the D-Watch localization server: it consumes RFID
+// readers' RO_ACCESS_REPORTs (per-antenna I/Q snapshots per tag),
+// maintains per-reader baseline AoA spectra, and publishes localization
+// fixes whenever enough readers have reported fresh evidence — the
+// deployment of Section 5, where all backscatter packets are forwarded
+// to a central server over Ethernet.
 //
-// Reports flow through the internal/pipeline streaming pipeline:
-// ingest validates and enqueues per-tag snapshot jobs, a worker pool
-// computes P-MUSIC spectra in parallel, and a sequence assembler with
-// TTL eviction fuses complete acquisition rounds into fixes, so one
-// slow or dead reader can neither stall the others nor leak memory.
+// dwatchd runs every deployment the same way: each *.json deployment
+// config in -env-dir (file stem = environment ID) becomes a fleet
+// environment with its own pipeline, tracer, RF-health monitor and WAL
+// subdirectory, behind one observability plane. Reader IDs are
+// env-qualified ("<env>/<reader>"). A one-file directory is a
+// single-deployment server. Reports reach an environment from any mix
+// of sources:
 //
-// With -simulate, dwatchd also spawns in-process simulated readers that
-// connect over real TCP and stream reports from the chosen environment
-// while a target walks through it, demonstrating the full network path.
+//   - -listen ADDR: readers dial in over LLRP; each report is routed to
+//     the environment its reader ID names (off by default);
+//   - -dial env/reader=host:port,...: dwatchd dials its readers (the
+//     real LLRP direction) and a session.Supervisor per environment
+//     keeps every connection alive with keepalive probes,
+//     jittered-backoff reconnects and per-reader circuit breakers; while
+//     a reader is down the environment fuses degraded fixes from the
+//     live quorum, and /readyz shows per-reader state;
+//   - -simulate: generated rounds (two baseline rounds, then a walking
+//     target) are fed in process, -sim-interval apart;
+//   - -chaos: every environment's readers are simulated LLRP endpoints,
+//     dialed through a deterministic fault injector with a compressed
+//     keepalive/backoff cadence, and each environment's last reader is
+//     killed mid-walk and restarted -chaos-flap later.
 //
-// With -dial or -chaos, dwatchd runs in supervised mode instead: it
-// dials its readers (the real LLRP direction) and a session.Supervisor
-// keeps every connection alive with keepalive probes, jittered-backoff
-// reconnects, and per-reader circuit breakers. When a reader dies the
-// pipeline keeps fusing degraded fixes from the remaining live quorum.
-// -chaos demonstrates the whole loop in-process: simulated reader
-// endpoints are dialed through a deterministic fault injector and one
-// of them is killed and restarted mid-run.
+// With -cluster the env dir is a catalog: the node joins a
+// dwatch-gateway directory and hosts (WAL replay included) the
+// environments the directory assigns it, handing them off as slots move.
 //
 // Usage:
 //
-//	dwatchd [-listen :5084] [-env hall] [-simulate] [-rounds N]
-//	        [-workers N] [-queue N] [-overload block|drop-oldest]
-//	        [-http 127.0.0.1:8080]
+//	dwatchd -env-dir DIR [-listen ADDR] [-dial env/reader=addr,...]
+//	        [-simulate [-rounds N] [-sim-interval D]]
+//	        [-chaos [-chaos-flap D] [-chaos-seed N] [-rounds N]]
+//	        [-workers N] [-queue N] [-overload block|drop-oldest] [-seq-ttl D]
 //	        [-wal-dir DIR] [-wal-fsync interval=1s] [-wal-retention segments=16]
-//	dwatchd -dial reader-1=host:port,reader-2=host:port [...]
-//	dwatchd -chaos [-chaos-flap 2s] [-chaos-seed N] [-env table] [...]
+//	        [-wal-segment-bytes SIZE] [-http ADDR] [-profile-dir DIR]
+//	        [-cluster URL [-node-id ID] [-advertise URL]] [-log-format text|json]
 //
-// -http serves the observability plane (opt-in, off by default):
-// Prometheus /metrics, /healthz, /readyz (ready once every reader's
-// baseline is confirmed), /api/v1/stats, /api/v1/positions (latest fix
-// per environment, or a live SSE stream with ?stream=1),
-// /api/v1/traces (per-sequence pipeline traces; append /{id} for one
-// trace, ?format=chrome for a chrome://tracing export), /api/v1/health
-// (per-reader RF health: read rates, path power drift, calibration
-// residuals), /api/v1/wal (ingest WAL status and recovery outcome),
-// and /debug/pprof/* for profiling the spectrum and fusion hot paths.
-// -pprof is a deprecated alias for -http.
+// -http serves the observability plane (off by default): Prometheus
+// /metrics, /healthz, /readyz (ready once every environment's reader
+// baselines are confirmed), /api/v1/envs, per-environment routes under
+// /api/v1/{env}/ (stats, positions, traces, health, wal),
+// /api/v1/positions (latest fix per environment, or a live SSE stream
+// with ?stream=1), and /debug/pprof/*.
 //
 // -wal-dir enables the durable ingest WAL (internal/wal): every
-// accepted RO_ACCESS_REPORT is appended to a segmented, checksummed
-// log before dispatch, and on restart the surviving records are
-// replayed through the pipeline — a crash mid-run loses at most the
-// torn tail of the final record. -wal-fsync trades throughput for
-// machine-crash durability; -wal-retention bounds the on-disk
-// footprint. Replay or benchmark a WAL offline with dwatch-replay.
+// accepted RO_ACCESS_REPORT is appended to <wal-dir>/<env>/ before
+// dispatch, and when an environment is added its surviving records are
+// replayed through the pipeline, rebuilding baselines and fixes — a
+// crash mid-run loses at most the torn tail of the final record.
+// -wal-fsync trades throughput for machine-crash durability;
+// -wal-retention bounds the on-disk footprint. Replay or benchmark a
+// WAL offline with dwatch-replay.
 //
 // Logs are structured (log/slog); -log-format json switches the sink
 // from human-readable text to JSON lines.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"runtime"
-	"sync"
-	"syscall"
 	"time"
 
-	"dwatch/internal/api"
-	"dwatch/internal/api/adapt"
-	"dwatch/internal/calib"
-	"dwatch/internal/channel"
-	"dwatch/internal/dwatch"
-	"dwatch/internal/geom"
-	"dwatch/internal/health"
-	"dwatch/internal/llrp"
 	"dwatch/internal/obs"
 	"dwatch/internal/pipeline"
-	"dwatch/internal/profiling"
-	"dwatch/internal/reader"
-	"dwatch/internal/rf"
-	"dwatch/internal/serve"
-	"dwatch/internal/sim"
-	"dwatch/internal/tracing"
 	"dwatch/internal/wal"
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:5084", "LLRP listen address")
-	env := flag.String("env", "hall", "environment preset (geometry shared with the readers)")
-	simulate := flag.Bool("simulate", false, "spawn simulated readers and a walking target")
-	rounds := flag.Int("rounds", 5, "simulated acquisition rounds")
-	statePath := flag.String("state", "", "baseline state file: loaded at start when present, saved after baseline confirmation")
-	recordPath := flag.String("record", "", "append every inbound RO_ACCESS_REPORT to this record file (deprecated legacy format; prefer -wal-dir, convert with dwatch-replay -convert)")
-	walDir := flag.String("wal-dir", "", "durable ingest WAL directory: every accepted report is appended before dispatch, and surviving records are replayed through the pipeline on start")
-	walFsync := flag.String("wal-fsync", "interval", "WAL fsync policy: always, never, interval, or interval=DURATION")
-	walRetention := flag.String("wal-retention", "", "WAL retention bounds, e.g. segments=16,bytes=2GiB,age=24h (empty = keep everything)")
-	walSegBytes := flag.String("wal-segment-bytes", "", "WAL segment rotation size, e.g. 64MiB (empty = default)")
-	workers := flag.Int("workers", 0, "spectrum worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "snapshot queue size (0 = default)")
+	var o runOptions
+	flag.StringVar(&o.envDir, "env-dir", "", "deployment config directory: every *.json in it (file stem = environment ID) becomes an environment; required")
+	flag.StringVar(&o.listen, "listen", "", "LLRP listen address for readers dialing in; reports are routed by env-qualified reader ID (empty = no listener)")
+	flag.StringVar(&o.dial, "dial", "", "dial these reader endpoints (env/reader=addr,env/reader=addr) and supervise their sessions")
+	flag.BoolVar(&o.simulate, "simulate", false, "drive every environment with generated rounds and a walking target")
+	flag.IntVar(&o.rounds, "rounds", 5, "simulated acquisition rounds (-simulate, -chaos)")
+	flag.DurationVar(&o.simInterval, "sim-interval", 100*time.Millisecond, "pacing between simulated acquisition rounds")
+	flag.BoolVar(&o.chaos, "chaos", false, "chaos demo: dial simulated reader endpoints through a fault injector and flap one reader per environment mid-run")
+	flag.DurationVar(&o.chaosFlap, "chaos-flap", 2*time.Second, "how long the chaos run keeps the flapped reader down")
+	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the chaos fault injector and reconnect jitter")
+	flag.StringVar(&o.walDir, "wal-dir", "", "durable ingest WAL root: every accepted report is appended to <root>/<env>/ before dispatch, and surviving records are replayed when the environment is added")
+	flag.StringVar(&o.walFsync, "wal-fsync", "interval", "WAL fsync policy: always, never, interval, or interval=DURATION")
+	flag.StringVar(&o.walRetention, "wal-retention", "", "WAL retention bounds, e.g. segments=16,bytes=2GiB,age=24h (empty = keep everything)")
+	flag.StringVar(&o.walSegBytes, "wal-segment-bytes", "", "WAL segment rotation size, e.g. 64MiB (empty = default)")
+	flag.IntVar(&o.workers, "workers", 0, "spectrum worker pool size per environment (0 = GOMAXPROCS)")
+	flag.IntVar(&o.queue, "queue", 0, "snapshot queue size (0 = default)")
 	overload := flag.String("overload", "block", "full-queue policy: block or drop-oldest")
-	seqTTL := flag.Duration("seq-ttl", 30*time.Second, "evict incomplete acquisition sequences after this long")
-	httpAddr := flag.String("http", "", "serve the observability plane (metrics, health, positions, pprof) on this address; empty = disabled")
-	profileDir := flag.String("profile-dir", "", "continuous-profiling ring directory: periodic CPU+heap pprof captures, bounded on disk, listed on /api/v1/profiles")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -http (pprof is part of the observability plane)")
-	dial := flag.String("dial", "", "supervised mode: dial these reader endpoints (id=addr,id=addr) instead of listening")
-	chaos := flag.Bool("chaos", false, "supervised chaos demo: dial in-process simulated readers through a fault injector and flap one mid-run")
-	chaosFlap := flag.Duration("chaos-flap", 2*time.Second, "how long the chaos run keeps the flapped reader down")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the chaos fault injector and reconnect jitter")
-	envDir := flag.String("env-dir", "", "multi-environment fleet mode: boot every *.json deployment config in this directory (file stem = environment ID) behind one serve plane; -simulate drives them all")
-	simInterval := flag.Duration("sim-interval", 100*time.Millisecond, "fleet mode: pacing between simulated acquisition rounds")
-	clusterURL := flag.String("cluster", "", "fleet mode: join the dwatch-gateway directory at this base URL; the env dir becomes a catalog and ownership follows slot assignment")
-	nodeID := flag.String("node-id", "", "cluster mode: node name announced to the directory (default: hostname)")
-	advertise := flag.String("advertise", "", "cluster mode: base URL the gateway proxies to (default: the -http listener address)")
+	flag.DurationVar(&o.seqTTL, "seq-ttl", 30*time.Second, "evict incomplete acquisition sequences after this long")
+	flag.StringVar(&o.httpAddr, "http", "", "serve the observability plane (metrics, health, positions, pprof) on this address; empty = disabled")
+	flag.StringVar(&o.profileDir, "profile-dir", "", "continuous-profiling ring directory: periodic CPU+heap pprof captures, bounded on disk, listed on /api/v1/profiles")
+	flag.StringVar(&o.clusterURL, "cluster", "", "join the dwatch-gateway directory at this base URL; the env dir becomes a catalog and ownership follows slot assignment")
+	flag.StringVar(&o.nodeID, "node-id", "", "cluster mode: node name announced to the directory (default: hostname)")
+	flag.StringVar(&o.advertise, "advertise", "", "cluster mode: base URL the gateway proxies to (default: the -http listener address)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	flag.Parse()
 
@@ -123,190 +107,26 @@ func main() {
 	}
 	logger = l
 
-	if *pprofAddr != "" {
-		if *httpAddr == "" {
-			*httpAddr = *pprofAddr
-		}
-		logger.Warn("-pprof is deprecated; use -http (serving full observability plane)", "addr", *httpAddr)
-	}
-
-	if *clusterURL != "" && *envDir == "" {
-		fatal("bad flags", "error", errors.New("-cluster requires -env-dir (the catalog of deployments this node can host)"))
-	}
-	if *envDir != "" {
-		if *dial != "" || *chaos {
-			fatal("bad flags", "error", errors.New("-env-dir (fleet mode) is incompatible with -dial and -chaos"))
-		}
-		policy, err := parseOverload(*overload)
-		if err != nil {
-			fatal("bad flag", "error", err)
-		}
-		if err := runFleet(fleetRunOptions{
-			envDir: *envDir, simulate: *simulate, rounds: *rounds,
-			simInterval: *simInterval, httpAddr: *httpAddr, profileDir: *profileDir,
-			clusterURL: *clusterURL, nodeID: *nodeID, advertise: *advertise,
-			walDir: *walDir, walFsync: *walFsync,
-			walRetention: *walRetention, walSegBytes: *walSegBytes,
-			workers: *workers, queue: *queue, overload: policy, seqTTL: *seqTTL,
-		}); err != nil {
-			fatal("fleet run failed", "error", err)
-		}
-		return
-	}
-
-	cfg, err := preset(*env)
-	if err != nil {
-		fatal("bad environment", "error", err)
-	}
-	sc, err := sim.Build(cfg)
-	if err != nil {
-		fatal("scenario build failed", "error", err)
-	}
-	policy, err := parseOverload(*overload)
-	if err != nil {
+	if o.overload, err = parseOverload(*overload); err != nil {
 		fatal("bad flag", "error", err)
 	}
-
-	srv, err := newServer(sc, pipelineOptions{
-		workers: *workers, queue: *queue, overload: policy, seqTTL: *seqTTL,
-	})
+	switch {
+	case o.envDir == "":
+		err = errors.New("-env-dir is required (a one-file directory runs a single deployment)")
+	case o.simulate && o.chaos:
+		err = errors.New("-simulate and -chaos are alternative drivers; pick one")
+	case o.clusterURL != "" && o.chaos:
+		err = errors.New("-chaos is a single-node demo and cannot join a cluster")
+	}
 	if err != nil {
-		fatal("server init failed", "error", err)
+		fatal("bad flags", "error", err)
 	}
-	if *httpAddr != "" {
-		srv.obs = obs.NewRegistry()
-		srv.hub = serve.NewHub(serve.WithHubObs(srv.obs))
-		srv.tracer = tracing.New()
-		srv.health = health.New(srv.obs, health.Options{})
-		obs.RegisterBuildInfo(srv.obs)
-		obs.RegisterRuntime(srv.obs)
-	}
-	if *profileDir != "" {
-		ring, err := profiling.Open(*profileDir, profiling.Options{Obs: srv.obs, Logger: logger})
-		if err != nil {
-			fatal("profiling ring open failed", "dir", *profileDir, "error", err)
-		}
-		srv.ring = ring
-		rctx, rcancel := context.WithCancel(context.Background())
-		defer rcancel()
-		go ring.Run(rctx)
-		logger.Info("continuous profiling up", "dir", *profileDir)
-	}
-	srv.statePath = *statePath
-	if *walDir != "" {
-		w, err := openWAL(*walDir, *walFsync, *walRetention, *walSegBytes, srv.obs)
-		if err != nil {
-			fatal("wal open failed", "dir", *walDir, "error", err)
-		}
-		srv.wal = w
-		st := w.Status()
-		logger.Info("ingest WAL open", "dir", *walDir, "fsync", st.Fsync,
-			"segments", st.Segments, "recovered", st.Recovered, "truncated_tail_bytes", st.Truncated)
-	}
-	if *recordPath != "" {
-		f, err := os.Create(*recordPath)
-		if err != nil {
-			fatal("record file", "path", *recordPath, "error", err)
-		}
-		srv.recorder = llrp.NewRecordWriter(f)
-		defer srv.recorder.Close()
-		logger.Warn("-record writes the deprecated legacy format; prefer -wal-dir (convert old captures with dwatch-replay -convert)",
-			"path", *recordPath)
-	}
-	if *statePath != "" {
-		if f, err := os.Open(*statePath); err == nil {
-			err := srv.loadState(f)
-			f.Close()
-			if err != nil {
-				fatal("load state failed", "path", *statePath, "error", err)
-			}
-			logger.Info("baseline state restored", "path", *statePath)
-		}
-	}
-	if *chaos || *dial != "" {
-		if err := runSupervised(srv, supervisedOptions{
-			dial: *dial, chaos: *chaos, chaosSeed: *chaosSeed,
-			flap: *chaosFlap, rounds: *rounds, httpAddr: *httpAddr,
-		}); err != nil {
-			fatal("supervised run failed", "error", err)
-		}
-		return
-	}
-
-	srv.start()
-	addr, err := srv.llrp.Listen(*listen)
-	if err != nil {
-		fatal("llrp listen failed", "addr", *listen, "error", err)
-	}
-	logger.Info("dwatchd listening", "addr", addr.String(), "env", sc.Name,
-		"readers", len(sc.Readers), "workers", pipelineWorkers(*workers), "overload", policy.String())
-
-	var plane *serve.Server
-	if *httpAddr != "" {
-		planeOpts := []serve.Option{
-			serve.WithRegistry(srv.obs),
-			serve.WithHub(srv.hub),
-			serve.WithTracer(srv.tracer),
-			serve.WithHealth(srv.health),
-			serve.WithStats(func() api.PipelineStats { return adapt.PipelineStats(srv.pipe.Stats()) }),
-			serve.WithReady(srv.ready),
-			serve.WithLogger(logger),
-		}
-		if srv.wal != nil {
-			planeOpts = append(planeOpts, serve.WithWALStatus(func() api.WALStatus { return adapt.WALStatus(srv.wal.Status()) }))
-		}
-		planeOpts = append(planeOpts, legacyFleetOptions(srv)...)
-		planeOpts = append(planeOpts, profileOptions(srv.ring)...)
-		plane = serve.New(planeOpts...)
-		planeAddr, err := plane.Start(*httpAddr)
-		if err != nil {
-			fatal("observability plane failed", "error", err)
-		}
-		logger.Info("observability plane up", "url", "http://"+planeAddr.String()+"/",
-			"endpoints", "metrics healthz readyz api/v1 debug/pprof")
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- srv.llrp.Serve() }()
-
-	if *simulate {
-		go func() {
-			if err := runSimulatedReaders(sc, addr.String(), *rounds); err != nil {
-				logger.Error("simulated readers failed", "error", err)
-			}
-			// Give the server a moment to drain, then stop.
-			time.Sleep(300 * time.Millisecond)
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			srv.llrp.Shutdown(ctx)
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case <-sig:
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		srv.llrp.Shutdown(ctx)
-		<-done
-	case err := <-done:
-		if err != nil && err != llrp.ErrServerClosed {
-			fatal("llrp server failed", "error", err)
-		}
-	}
-	srv.shutdown()
-	if plane != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		if err := plane.Shutdown(ctx); err != nil {
-			logger.Warn("observability plane shutdown", "error", err)
-		}
+	if err := runFleet(o); err != nil {
+		fatal("dwatchd failed", "error", err)
 	}
 }
 
-// walOptions builds WAL options from the -wal-* flags. reg may be nil
-// (no -http): the WAL then runs uninstrumented.
+// walOptions builds WAL options from the -wal-* flags.
 func walOptions(fsync, retention, segBytes string, reg *obs.Registry) ([]wal.Option, error) {
 	policy, interval, err := wal.ParseFsyncPolicy(fsync)
 	if err != nil {
@@ -337,15 +157,6 @@ func walOptions(fsync, retention, segBytes string, reg *obs.Registry) ([]wal.Opt
 	return opts, nil
 }
 
-// openWAL builds the ingest WAL from the -wal-* flags.
-func openWAL(dir, fsync, retention, segBytes string, reg *obs.Registry) (*wal.WAL, error) {
-	opts, err := walOptions(fsync, retention, segBytes, reg)
-	if err != nil {
-		return nil, err
-	}
-	return wal.Open(dir, opts...)
-}
-
 func pipelineWorkers(flagVal int) int {
 	if flagVal > 0 {
 		return flagVal
@@ -362,458 +173,4 @@ func parseOverload(s string) (pipeline.OverloadPolicy, error) {
 	default:
 		return 0, fmt.Errorf("unknown overload policy %q (want block or drop-oldest)", s)
 	}
-}
-
-func preset(name string) (sim.Config, error) {
-	switch name {
-	case "library":
-		return sim.LibraryConfig(), nil
-	case "laboratory", "lab":
-		return sim.LaboratoryConfig(), nil
-	case "hall":
-		return sim.HallConfig(), nil
-	case "table":
-		return sim.TableConfig(), nil
-	default:
-		return sim.Config{}, fmt.Errorf("unknown environment %q", name)
-	}
-}
-
-type pipelineOptions struct {
-	workers  int
-	queue    int
-	overload pipeline.OverloadPolicy
-	seqTTL   time.Duration
-}
-
-// server bridges LLRP connections to the streaming pipeline: the
-// handler does protocol work (capabilities, keepalives, recording) and
-// hands every report to pipeline.Ingest; baselines, spectra, and fixes
-// are the pipeline's business.
-type server struct {
-	llrp *llrp.Server
-	sc   *sim.Scenario
-	pipe *pipeline.Pipeline
-	opts pipelineOptions
-
-	// obs, hub, tracer, and health are nil unless -http is set; the
-	// pipeline and fix subscription tolerate all of them being absent.
-	obs    *obs.Registry
-	hub    *serve.Hub
-	tracer *tracing.Tracer
-	health *health.Monitor
-
-	// liveReaders is set in supervised mode before start(): the
-	// assembler's oracle for quorum-degraded fusion when readers die.
-	liveReaders func() []string
-
-	// ring is the continuous-profiling ring (-profile-dir), nil when
-	// disabled; its captures are listed on /api/v1/profiles.
-	ring *profiling.Ring
-
-	// wal, when set, receives every accepted report before dispatch
-	// (the WAL serializes its own appends; no s.mu involvement), and
-	// its surviving records are replayed through the pipeline by
-	// start().
-	wal *wal.WAL
-
-	mu        sync.Mutex
-	statePath string
-	recorder  *llrp.RecordWriter
-	confirmed map[string]bool
-	restored  *dwatch.Fuser
-
-	fixWG sync.WaitGroup
-	fixes int
-}
-
-func newServer(sc *sim.Scenario, opts pipelineOptions) (*server, error) {
-	s := &server{sc: sc, opts: opts, confirmed: map[string]bool{}}
-	s.llrp = &llrp.Server{Handler: llrp.HandlerFunc(s.handle)}
-	return s, nil
-}
-
-// start builds and launches the pipeline; called after any state load.
-func (s *server) start() {
-	arrays := map[string]*rf.Array{}
-	for _, r := range s.sc.Readers {
-		arrays[r.ID] = r.Array
-	}
-	opts := []pipeline.Option{
-		pipeline.WithWorkers(s.opts.workers),
-		pipeline.WithQueueSize(s.opts.queue),
-		pipeline.WithOverload(s.opts.overload),
-		pipeline.WithSeqTTL(s.opts.seqTTL),
-		pipeline.WithOnBaseline(s.onBaseline),
-		pipeline.WithObs(s.obs),
-		pipeline.WithTracer(s.tracer),
-		pipeline.WithHealth(s.health),
-		pipeline.WithLogger(logger),
-	}
-	if s.restored != nil {
-		opts = append(opts, pipeline.WithRestored(s.restored))
-	}
-	if s.liveReaders != nil {
-		opts = append(opts, pipeline.WithLiveReaders(s.liveReaders))
-	}
-	p, err := pipeline.New(pipeline.Deployment{Arrays: arrays, Grid: s.sc.Grid}, opts...)
-	if err != nil {
-		fatal("pipeline init failed", "error", err)
-	}
-	s.pipe = p
-	if s.hub != nil {
-		p.SubscribeFixes(func(fix pipeline.Fix) {
-			if fix.Err != nil {
-				return
-			}
-			s.hub.Publish(serve.Position{
-				Env: s.sc.Name, Seq: fix.Seq,
-				X: fix.Pos.X, Y: fix.Pos.Y,
-				Confidence: fix.Confidence, Views: fix.Views,
-				Readers: fix.Readers, Degraded: fix.Degraded,
-				TraceID: fix.TraceID,
-				Time:    time.Now(),
-			})
-		})
-	}
-	p.Start()
-	s.fixWG.Add(1)
-	go func() {
-		defer s.fixWG.Done()
-		for fix := range p.Fixes() {
-			if fix.Err != nil {
-				logger.Info("no fix", "seq", fix.Seq, "error", fix.Err)
-				continue
-			}
-			s.mu.Lock()
-			s.fixes++
-			n := s.fixes
-			s.mu.Unlock()
-			args := []any{"seq", fix.Seq, "n", n,
-				"x", fix.Pos.X, "y", fix.Pos.Y, "confidence", fix.Confidence}
-			if fix.TraceID != "" {
-				args = append(args, "trace", fix.TraceID)
-			}
-			if fix.Degraded {
-				args = append(args, "degraded", true, "views", fix.Views, "readers", len(s.sc.Readers))
-			}
-			logger.Info("fix", args...)
-		}
-	}()
-	// Recovery replay runs after the fix consumer is live (a large
-	// backlog can emit more fixes than the channel buffers) and before
-	// any listener or supervisor accepts new reports, so replayed and
-	// live rounds never interleave.
-	if s.wal != nil {
-		s.replayWAL()
-	}
-}
-
-// replayWAL re-ingests every record recovery salvaged, rebuilding
-// pipeline state (baselines, rounds, fixes) exactly as the crashed
-// process built it. Reports that no longer match the deployment are
-// skipped, not fatal: a WAL may outlive a reader.
-func (s *server) replayWAL() {
-	start := time.Now()
-	var replayed, skipped int
-	res, err := wal.Scan(s.wal.Dir(), func(rec wal.Record) error {
-		if rec.Type != llrp.MsgROAccessReport {
-			return nil
-		}
-		rep, err := llrp.UnmarshalROAccessReport(rec.Payload)
-		if err != nil {
-			skipped++
-			return nil
-		}
-		if err := s.pipe.Ingest(rep); err != nil {
-			if errors.Is(err, pipeline.ErrUnknownReader) {
-				skipped++
-				return nil
-			}
-			return err
-		}
-		replayed++
-		return nil
-	})
-	if err != nil {
-		fatal("wal recovery replay failed", "error", err)
-	}
-	if res.Records > 0 {
-		logger.Info("wal recovery replayed", "records", res.Records,
-			"ingested", replayed, "skipped", skipped,
-			"elapsed", time.Since(start).Round(time.Millisecond).String())
-	}
-}
-
-// walAppendReport is the supervised-mode durability hook: session
-// handlers receive parsed reports, so the payload is re-marshaled for
-// the log. Returns nil when no WAL is configured.
-func (s *server) walAppendReport(rep *llrp.ROAccessReport) error {
-	if s.wal == nil {
-		return nil
-	}
-	payload, err := rep.Marshal()
-	if err != nil {
-		return err
-	}
-	_, err = s.wal.Append(time.Now(), llrp.MsgROAccessReport, payload)
-	return err
-}
-
-func (s *server) handle(conn *llrp.Conn, msg llrp.Message) error {
-	switch msg.Type {
-	case llrp.MsgKeepalive:
-		return conn.SendWithID(llrp.MsgKeepaliveAck, msg.ID, nil)
-	case llrp.MsgGetReaderCapabilitiesResponse:
-		caps, err := llrp.UnmarshalReaderCapabilities(msg.Payload)
-		if err != nil {
-			return err
-		}
-		rd := s.arrayFor(caps.ReaderID)
-		if rd == nil {
-			logger.Warn("capabilities from unknown reader", "reader", caps.ReaderID)
-			return nil
-		}
-		if int(caps.Antennas) != rd.Array.Elements {
-			logger.Warn("antenna count mismatch — reports will be rejected",
-				"reader", caps.ReaderID, "reported", caps.Antennas, "expected", rd.Array.Elements)
-			return nil
-		}
-		logger.Info("reader online", "reader", caps.ReaderID, "model", caps.Model, "antennas", caps.Antennas)
-		// Control plane: install and start the acquisition spec — the
-		// paper's cadence (0.1 s period, 10 snapshots per tag).
-		spec := llrp.ROSpec{ID: 1, PeriodMs: 100, SnapshotsPerTag: 10}
-		if _, err := conn.Send(llrp.MsgStartROSpec, spec.Marshal()); err != nil {
-			return err
-		}
-		return nil
-	case llrp.MsgROAccessReport:
-		rep, err := llrp.UnmarshalROAccessReport(msg.Payload)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.recorder != nil {
-			if err := s.recorder.Record(time.Now(), msg); err != nil {
-				logger.Error("record failed", "error", err)
-			}
-		}
-		s.mu.Unlock()
-		// Durability before dispatch: once the append returns, the
-		// report survives a process crash and will be replayed on
-		// restart — so a fix the operator saw can always be reproduced.
-		if s.wal != nil {
-			if _, err := s.wal.Append(time.Now(), msg.Type, msg.Payload); err != nil {
-				logger.Error("wal append failed", "error", err)
-			}
-		}
-		if err := s.pipe.Ingest(rep); err != nil {
-			logger.Warn("ingest failed", "reader", rep.ReaderID, "seq", rep.Seq, "error", err)
-		}
-	}
-	return nil
-}
-
-// arrayFor maps a reader ID to its array geometry (shared deployment
-// knowledge: the server knows where its readers are mounted).
-func (s *server) arrayFor(id string) *reader.Reader {
-	for _, r := range s.sc.Readers {
-		if r.ID == id {
-			return r
-		}
-	}
-	return nil
-}
-
-// ready is the /readyz hook: the deployment is ready to localize once
-// every expected reader's baseline has been confirmed (or restored).
-func (s *server) ready() error {
-	s.mu.Lock()
-	confirmed := len(s.confirmed)
-	s.mu.Unlock()
-	if confirmed < len(s.sc.Readers) {
-		return fmt.Errorf("baseline: %d/%d readers confirmed", confirmed, len(s.sc.Readers))
-	}
-	return nil
-}
-
-// onBaseline runs on the assembler goroutine once per confirmed reader
-// baseline — the one moment the fuser is safe to snapshot for state
-// persistence, since the assembler is parked in this callback.
-func (s *server) onBaseline(readerID string, tags int) {
-	// The pipeline already logs "baseline confirmed" per reader; this
-	// callback only tracks readiness and state persistence.
-	s.mu.Lock()
-	s.confirmed[readerID] = true
-	all := len(s.confirmed) == len(s.sc.Readers)
-	s.mu.Unlock()
-	if all {
-		s.maybeSaveState()
-	}
-}
-
-// loadState restores a saved baseline. Called before start.
-func (s *server) loadState(r *os.File) error {
-	sys := dwatch.New(s.sc)
-	if err := sys.LoadState(r); err != nil {
-		return err
-	}
-	s.restored = sys.Fuser()
-	for _, rd := range s.sc.Readers {
-		s.confirmed[rd.ID] = true
-	}
-	return nil
-}
-
-// maybeSaveState persists the baseline once every reader confirmed.
-// Called from the assembler goroutine (via onBaseline) while it holds
-// the fuser.
-func (s *server) maybeSaveState() {
-	if s.statePath == "" {
-		return
-	}
-	sys := dwatch.New(s.sc)
-	sys.SetFuser(s.pipe.Fuser())
-	f, err := os.Create(s.statePath)
-	if err != nil {
-		logger.Error("save state failed", "path", s.statePath, "error", err)
-		return
-	}
-	defer f.Close()
-	if err := sys.SaveState(f); err != nil {
-		logger.Error("save state failed", "path", s.statePath, "error", err)
-		return
-	}
-	logger.Info("baseline state saved", "path", s.statePath)
-}
-
-// shutdown drains the pipeline and prints the session summary.
-func (s *server) shutdown() {
-	s.pipe.Drain()
-	s.fixWG.Wait()
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil {
-			logger.Warn("wal close", "error", err)
-		}
-	}
-	st := s.pipe.Stats()
-	s.mu.Lock()
-	fixes := s.fixes
-	s.mu.Unlock()
-	logger.Info("done", "fixes", fixes)
-	logger.Info("pipeline summary",
-		"reports_in", st.ReportsIn, "snapshots", st.SnapshotsIn, "dropped", st.SnapshotsDropped,
-		"spectra", st.SpectraComputed, "failed", st.SpectraFailed,
-		"fused", st.SequencesAssembled, "evicted", st.SequencesEvicted, "late", st.LateReports)
-	if st.ComputeLatency.Count > 0 {
-		logger.Info("latency summary",
-			"compute_p50_ms", 1e3*st.ComputeLatency.P50, "compute_p90_ms", 1e3*st.ComputeLatency.P90,
-			"fuse_p50_ms", 1e3*st.FuseLatency.P50, "fuse_p90_ms", 1e3*st.FuseLatency.P90)
-	}
-}
-
-// runSimulatedReaders connects one LLRP client per scenario reader and
-// streams reports: first a no-target baseline round, then rounds with a
-// target walking across the room.
-func runSimulatedReaders(sc *sim.Scenario, addr string, rounds int) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	conns := make([]*llrp.Conn, len(sc.Readers))
-	for i, rd := range sc.Readers {
-		c, err := llrp.Dial(ctx, addr)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		conns[i] = c
-		// Announce capabilities (real LLRP does this via the
-		// GET_READER_CAPABILITIES exchange; our readers volunteer it).
-		caps := llrp.ReaderCapabilities{
-			ReaderID: rd.ID,
-			Antennas: uint16(rd.Array.Elements),
-			Model:    "speedway-r420-sim",
-		}
-		if _, err := c.Send(llrp.MsgGetReaderCapabilitiesResponse, caps.Marshal()); err != nil {
-			return err
-		}
-	}
-	// Each reader waits for its StartROSpec before transmitting, as the
-	// protocol demands; the spec's snapshot count drives acquisition.
-	snapshotsPerTag := 10
-	for i := range conns {
-		msg, err := conns[i].Recv()
-		if err != nil {
-			return err
-		}
-		if msg.Type != llrp.MsgStartROSpec {
-			return fmt.Errorf("reader %d: expected StartROSpec, got type %d", i, msg.Type)
-		}
-		spec, err := llrp.UnmarshalROSpec(msg.Payload)
-		if err != nil {
-			return err
-		}
-		if int(spec.SnapshotsPerTag) > 0 {
-			snapshotsPerTag = int(spec.SnapshotsPerTag)
-		}
-	}
-
-	seq := uint32(0)
-	send := func(targets []channel.Target) error {
-		seq++
-		for i, rd := range sc.Readers {
-			snaps, err := rd.Acquire(sc.Env, sc.Tags, targets, reader.AcquireOptions{Snapshots: snapshotsPerTag})
-			if err != nil {
-				return err
-			}
-			rep := &llrp.ROAccessReport{ReaderID: rd.ID, Seq: seq}
-			for _, sn := range snaps {
-				// The readers stream *calibrated* samples: a production
-				// deployment runs the Section 4.1 calibration once at
-				// power-on; here the simulated reader knows its own
-				// offsets (wired ground truth) for brevity.
-				x, err := calib.Apply(sn.Data, rd.Offsets)
-				if err != nil {
-					return err
-				}
-				snapshot := make([][]complex128, x.Rows)
-				for r := 0; r < x.Rows; r++ {
-					snapshot[r] = append([]complex128(nil), x.Data[r*x.Cols:(r+1)*x.Cols]...)
-				}
-				rep.Reports = append(rep.Reports, llrp.TagReport{
-					EPC:          sn.Tag.EPC,
-					AntennaID:    1,
-					PeakRSSIcdBm: sn.RSSIcdBm,
-					Snapshot:     snapshot,
-				})
-			}
-			payload, err := rep.Marshal()
-			if err != nil {
-				return err
-			}
-			if _, err := conns[i].Send(llrp.MsgROAccessReport, payload); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Two baseline rounds (no target): the server's stability filter
-	// needs a confirmation round.
-	if err := send(nil); err != nil {
-		return err
-	}
-	if err := send(nil); err != nil {
-		return err
-	}
-	// Target walks across the middle of the room.
-	for k := 0; k < rounds; k++ {
-		f := float64(k+1) / float64(rounds+1)
-		pos := geom.Pt(sc.Cfg.Width*(0.25+0.5*f), sc.Cfg.Depth/2, 1.25)
-		logger.Info("simulated target", "x", pos.X, "y", pos.Y)
-		if err := send([]channel.Target{channel.HumanTarget(pos)}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

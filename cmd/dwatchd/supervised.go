@@ -3,37 +3,16 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"dwatch/internal/api"
-	"dwatch/internal/api/adapt"
+	"dwatch/internal/fleet"
 	"dwatch/internal/llrp"
-	"dwatch/internal/serve"
 	"dwatch/internal/session"
 	"dwatch/internal/sim"
 )
 
-// supervisedOptions parameterizes the outbound (supervised) mode,
-// where dwatchd dials its readers — the real-LLRP direction — and a
-// session.Supervisor keeps every connection alive through keepalive
-// probing, backoff reconnect, and per-reader circuit breakers.
-type supervisedOptions struct {
-	// dial lists real reader endpoints as "id=addr,id=addr"; empty
-	// with chaos set spawns in-process simulated readers instead.
-	dial      string
-	chaos     bool
-	chaosSeed int64
-	// flap is how long the chaos run keeps one reader dead mid-walk.
-	flap     time.Duration
-	rounds   int
-	httpAddr string
-}
-
-// parseDial turns "reader-1=host:port,reader-2=host:port" into
+// parseDial turns "env/reader-1=host:port,env/reader-2=host:port" into
 // session endpoints.
 func parseDial(s string) ([]session.Endpoint, error) {
 	var eps []session.Endpoint
@@ -44,7 +23,7 @@ func parseDial(s string) ([]session.Endpoint, error) {
 		}
 		id, addr, ok := strings.Cut(part, "=")
 		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("bad -dial entry %q (want id=addr)", part)
+			return nil, fmt.Errorf("bad -dial entry %q (want env/reader=addr)", part)
 		}
 		eps = append(eps, session.Endpoint{ID: id, Addr: addr})
 	}
@@ -54,163 +33,109 @@ func parseDial(s string) ([]session.Endpoint, error) {
 	return eps, nil
 }
 
-// runSupervised is dwatchd's fault-tolerant mode: a supervisor owns
-// one session per reader, the pipeline fuses from the live quorum when
-// a reader is down, and /readyz exposes per-reader state. With -chaos
-// the readers are in-process simulations dialed through the
-// deterministic fault injector, and one of them is killed and
-// restarted mid-run to demonstrate degraded fixes and recovery.
-func runSupervised(srv *server, opts supervisedOptions) error {
-	sc := srv.sc
-	var eps []session.Endpoint
-	var sims []*sim.ReaderEndpoint
+// dialEndpoints resolves the readers the fleet dials: the -dial list,
+// whose env-qualified IDs must name catalog environments, or with
+// -chaos alone one simulated reader endpoint per catalog reader,
+// returned per environment for the chaos driver. Endpoints started
+// before an error are returned too, for the caller to stop.
+func dialEndpoints(opts runOptions, catalog map[string]sim.Config, ids []string) ([]session.Endpoint, map[string][]*sim.ReaderEndpoint, error) {
 	if opts.dial != "" {
-		var err error
-		if eps, err = parseDial(opts.dial); err != nil {
-			return err
+		eps, err := parseDial(opts.dial)
+		if err != nil {
+			return nil, nil, err
 		}
-	} else {
+		for _, ep := range eps {
+			env, _, ok := strings.Cut(ep.ID, "/")
+			if _, known := catalog[env]; !ok || !known {
+				return nil, nil, fmt.Errorf("-dial %s: reader ID must be <env>/<reader> with env one of %v", ep.ID, ids)
+			}
+		}
+		return eps, nil, nil
+	}
+	var eps []session.Endpoint
+	sims := map[string][]*sim.ReaderEndpoint{}
+	for _, id := range ids {
+		sc, _, err := fleet.Deployment(id, catalog[id])
+		if err != nil {
+			return nil, sims, err
+		}
 		for _, rd := range sc.Readers {
 			e := sim.NewReaderEndpoint(rd.ID, rd.Array.Elements)
 			addr, err := e.Start("127.0.0.1:0")
 			if err != nil {
-				return err
+				return nil, sims, err
 			}
-			defer e.Stop()
-			sims = append(sims, e)
+			sims[id] = append(sims[id], e)
 			eps = append(eps, session.Endpoint{ID: rd.ID, Addr: addr.String()})
 			logger.Info("simulated reader listening", "reader", rd.ID, "addr", addr.String())
 		}
 	}
-
-	sopts := []session.Option{
-		session.WithHandler(func(rep *llrp.ROAccessReport) error {
-			// Durability before dispatch, as in listen mode; session
-			// handlers get parsed reports, so walAppendReport
-			// re-marshals for the log.
-			if err := srv.walAppendReport(rep); err != nil {
-				logger.Error("wal append failed", "reader", rep.ReaderID, "error", err)
-			}
-			return srv.pipe.Ingest(rep)
-		}),
-		session.WithObs(srv.obs),
-		session.WithLogger(logger),
-	}
-	if opts.chaos {
-		// Compressed fault-handling cadence so a short demo run shows
-		// down-detection, degraded fixes, and reconnect.
-		sopts = append(sopts,
-			session.WithKeepalive(llrp.KeepaliveOptions{
-				Interval: 100 * time.Millisecond, Timeout: 200 * time.Millisecond, Missed: 2,
-			}),
-			session.WithBackoff(llrp.BackoffOptions{
-				Base: 50 * time.Millisecond, Cap: 500 * time.Millisecond,
-			}),
-			session.WithBreaker(3, 500*time.Millisecond),
-			session.WithJitterSeed(opts.chaosSeed),
-			session.WithFaults(session.FaultConfig{
-				Seed:      opts.chaosSeed,
-				DelayProb: 0.05, // visible jitter without breaking frames
-			}),
-		)
-	}
-	var sup *session.Supervisor
-	// The state observer logs transitions and pokes the assembler so
-	// pending sequences re-evaluate against the new live set.
-	sopts = append(sopts, session.WithOnState(func(id string, st session.State) {
-		logger.Info("reader state", "reader", id, "state", st.String())
-		srv.pipe.NotifyLiveChange()
-	}))
-	sup, err := session.New(eps, sopts...)
-	if err != nil {
-		return err
-	}
-	srv.liveReaders = sup.Live
-	srv.start()
-	sup.Start()
-	defer sup.Stop()
-	logger.Info("dwatchd supervising", "readers", len(eps), "env", sc.Name,
-		"workers", pipelineWorkers(srv.opts.workers), "overload", srv.opts.overload.String())
-
-	var plane *serve.Server
-	if opts.httpAddr != "" {
-		planeOpts := []serve.Option{
-			serve.WithRegistry(srv.obs),
-			serve.WithHub(srv.hub),
-			serve.WithTracer(srv.tracer),
-			serve.WithHealth(srv.health),
-			serve.WithStats(func() api.PipelineStats { return adapt.PipelineStats(srv.pipe.Stats()) }),
-			serve.WithReady(srv.ready),
-			serve.WithReaders(readerStatuses(sup)),
-			serve.WithDegraded(sup.Degraded),
-			serve.WithLogger(logger),
-		}
-		if srv.wal != nil {
-			planeOpts = append(planeOpts, serve.WithWALStatus(func() api.WALStatus { return adapt.WALStatus(srv.wal.Status()) }))
-		}
-		planeOpts = append(planeOpts, legacyFleetOptions(srv)...)
-		planeOpts = append(planeOpts, profileOptions(srv.ring)...)
-		plane = serve.New(planeOpts...)
-		planeAddr, err := plane.Start(opts.httpAddr)
-		if err != nil {
-			return fmt.Errorf("observability plane: %v", err)
-		}
-		logger.Info("observability plane up", "url", "http://"+planeAddr.String()+"/",
-			"note", "readyz reports per-reader state")
-	}
-
-	done := make(chan error, 1)
-	if opts.chaos && len(sims) > 0 {
-		go func() { done <- runChaos(sc, sims, opts) }()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case <-sig:
-	case err := <-done:
-		if err != nil {
-			logger.Error("chaos run failed", "error", err)
-		}
-		// Let the pipeline drain the tail of reports before stopping.
-		time.Sleep(300 * time.Millisecond)
-	}
-	sup.Stop()
-	srv.shutdown()
-	if plane != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		if err := plane.Shutdown(ctx); err != nil {
-			logger.Warn("observability plane shutdown", "error", err)
-		}
-	}
-	return nil
+	return eps, sims, nil
 }
 
-// runChaos drives the simulated readers through pre-generated rounds
-// and flaps the last reader mid-walk: stopped after the first walking
-// round, restarted opts.flap later. While it is down the pipeline
-// emits degraded fixes from the remaining live quorum.
-func runChaos(sc *sim.Scenario, sims []*sim.ReaderEndpoint, opts supervisedOptions) error {
-	rounds, err := sim.GenerateLLRPRounds(sc, opts.rounds, 10)
+// stopEndpoints stops every simulated reader endpoint.
+func stopEndpoints(sims map[string][]*sim.ReaderEndpoint) {
+	for _, eps := range sims {
+		for _, e := range eps {
+			e.Stop()
+		}
+	}
+}
+
+// sessionOptions tunes the dialed sessions: -chaos compresses the
+// fault-handling cadence so a short run shows down-detection, degraded
+// fixes and reconnect, and routes every link through the deterministic
+// fault injector.
+func sessionOptions(opts runOptions) []session.Option {
+	if !opts.chaos {
+		return nil
+	}
+	return []session.Option{
+		session.WithKeepalive(llrp.KeepaliveOptions{
+			Interval: 100 * time.Millisecond, Timeout: 200 * time.Millisecond, Missed: 2,
+		}),
+		session.WithBackoff(llrp.BackoffOptions{
+			Base: 50 * time.Millisecond, Cap: 500 * time.Millisecond,
+		}),
+		session.WithBreaker(3, 500*time.Millisecond),
+		session.WithJitterSeed(opts.chaosSeed),
+		session.WithFaults(session.FaultConfig{
+			Seed:      opts.chaosSeed,
+			DelayProb: 0.05, // visible jitter without breaking frames
+		}),
+	}
+}
+
+// runChaos drives one environment's simulated readers through
+// generated rounds and flaps its last reader mid-walk: stopped after
+// the first walking round, restarted opts.chaosFlap later. While it is
+// down the environment emits degraded fixes from the live quorum.
+func runChaos(ctx context.Context, f *fleet.Fleet, id string, sims []*sim.ReaderEndpoint, opts runOptions) error {
+	e, ok := f.Env(id)
+	if !ok {
+		return fmt.Errorf("chaos: environment %s not found", id)
+	}
+	rounds, err := sim.GenerateLLRPRounds(e.Scenario(), opts.rounds, 10)
 	if err != nil {
 		return err
 	}
 	// Wait for every session to finish its handshake before streaming.
-	for _, e := range sims {
+	for _, ep := range sims {
 		select {
-		case <-e.WaitStreaming():
+		case <-ep.WaitStreaming():
+		case <-ctx.Done():
+			return ctx.Err()
 		case <-time.After(10 * time.Second):
-			return fmt.Errorf("reader %s: no session after 10s", e.ID)
+			return fmt.Errorf("reader %s: no session after 10s", ep.ID)
 		}
 	}
 	victim := sims[len(sims)-1]
 	const interval = 200 * time.Millisecond
 	for i, rd := range rounds {
 		if i == 3 && len(sims) > 2 { // first walking round delivered; kill one reader
-			logger.Info("chaos: killing reader", "reader", victim.ID, "for", opts.flap.String())
+			logger.Info("chaos: killing reader", "reader", victim.ID, "for", opts.chaosFlap.String())
 			victim.Stop()
-			time.AfterFunc(opts.flap, func() {
+			time.AfterFunc(opts.chaosFlap, func() {
 				if _, err := victim.Start(victim.Addr()); err != nil {
 					logger.Error("chaos: restart failed", "reader", victim.ID, "error", err)
 					return
@@ -218,29 +143,15 @@ func runChaos(sc *sim.Scenario, sims []*sim.ReaderEndpoint, opts supervisedOptio
 				logger.Info("chaos: reader restarted", "reader", victim.ID)
 			})
 		}
-		for _, e := range sims {
-			if err := e.Broadcast(rd.Payloads[e.ID]); err != nil {
-				// A dead or reconnecting reader just misses the round.
-				continue
-			}
+		for _, ep := range sims {
+			// A dead or reconnecting reader just misses the round.
+			_ = ep.Broadcast(rd.Payloads[ep.ID])
 		}
-		time.Sleep(interval)
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(interval):
+		}
 	}
 	return nil
-}
-
-// readerStatuses adapts supervisor status snapshots to the serve
-// plane's reader-state shape.
-func readerStatuses(sup *session.Supervisor) func() []serve.ReaderStatus {
-	return func() []serve.ReaderStatus {
-		sts := sup.Status()
-		out := make([]serve.ReaderStatus, len(sts))
-		for i, st := range sts {
-			out[i] = serve.ReaderStatus{
-				ID: st.ID, Addr: st.Addr, State: st.State.String(),
-				Since: st.Since, Reconnects: st.Reconnects, LastError: st.LastError,
-			}
-		}
-		return out
-	}
 }

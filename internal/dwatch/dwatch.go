@@ -402,24 +402,6 @@ func (s *System) DetectEvents(targets []channel.Target) (map[string][]pmusic.Blo
 	return out, nil
 }
 
-// Fuser returns the system's evidence fuser (nil before
-// CollectBaseline or LoadState). Network consumers like cmd/dwatchd
-// share it.
-func (s *System) Fuser() *Fuser { return s.fuser }
-
-// SetFuser installs an externally built fuser (e.g. one fed from LLRP
-// reports) so SaveState can persist it. Readers calibrated elsewhere
-// get zero offsets unless Calibrate ran.
-func (s *System) SetFuser(f *Fuser) {
-	s.fuser = f
-	if s.offsets == nil {
-		s.offsets = make(map[string][]float64, len(s.Scenario.Readers))
-		for _, r := range s.Scenario.Readers {
-			s.offsets[r.ID] = make([]float64, r.Array.Elements)
-		}
-	}
-}
-
 // Offsets returns the calibration estimate for a reader (nil before
 // Calibrate).
 func (s *System) Offsets(readerID string) []float64 { return s.offsets[readerID] }

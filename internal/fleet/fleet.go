@@ -8,7 +8,14 @@
 // prefixed "<env>/" so metric labels and pipeline state never collide
 // across tenants), Remove drains it gracefully without disturbing its
 // neighbors, Reload is an atomic swap of the two, and LoadDir boots a
-// directory of JSON deployment configs — the -env-dir mode of dwatchd.
+// directory of JSON deployment configs — dwatchd's -env-dir.
+//
+// Every report reaches an environment through one ingest path (decode
+// once, WAL append, pipeline.Ingest, counters), whatever its source:
+// Ingest (in-process callers and Simulate), Handle (readers dialing in
+// over LLRP, routed by the env prefix of their reader ID), or a
+// session.Supervisor the environment runs over its dialed readers
+// (WithDial).
 //
 // Environments are placed on a consistent-hash ring over their IDs
 // (see Ring); the slot is surfaced per environment as the unit a
@@ -37,6 +44,7 @@ import (
 	"dwatch/internal/pipeline"
 	"dwatch/internal/rf"
 	"dwatch/internal/serve"
+	"dwatch/internal/session"
 	"dwatch/internal/sim"
 	"dwatch/internal/tracing"
 	"dwatch/internal/wal"
@@ -59,6 +67,8 @@ type options struct {
 	walOpts []wal.Option
 	slots   int
 	pipe    func(envID string) []pipeline.Option
+	dial    []session.Endpoint
+	sopts   []session.Option
 }
 
 // WithObs attaches the shared metrics registry. Per-environment
@@ -91,6 +101,15 @@ func WithPipelineOptions(fn func(envID string) []pipeline.Option) Option {
 	return func(o *options) { o.pipe = fn }
 }
 
+// WithDial gives environments readers to dial out to (dwatchd -dial and
+// -chaos). Endpoint IDs are env-qualified ("<env>/<reader>"); Add
+// starts a session.Supervisor, configured by sopts, over the endpoints
+// of the environment it adds, and Remove stops it before the drain.
+// An environment with no endpoints starts none.
+func WithDial(eps []session.Endpoint, sopts ...session.Option) Option {
+	return func(o *options) { o.dial = eps; o.sopts = sopts }
+}
+
 // Env is one registered environment. Fields are immutable after Add;
 // the counters are live.
 type Env struct {
@@ -100,16 +119,11 @@ type Env struct {
 	tracer   *tracing.Tracer
 	health   *health.Monitor
 	wal      *wal.WAL
-	slot     int
-	added    time.Time
-
-	// adopted environments are registered for routing/listing only:
-	// their pipeline lifecycle belongs to the caller (dwatchd's legacy
-	// single-deployment path), so Remove unregisters without draining.
-	adopted        bool
-	adoptedReaders int
-	stats          func() api.PipelineStats
-	walStatus      func() api.WALStatus
+	// sup supervises the environment's dialed readers (nil when it has
+	// none).
+	sup   *session.Supervisor
+	slot  int
+	added time.Time
 
 	fixes   atomic.Uint64
 	reports atomic.Uint64
@@ -136,7 +150,7 @@ func (e *Env) ID() string { return e.id }
 // "<env>/" prefix).
 func (e *Env) Scenario() *sim.Scenario { return e.scenario }
 
-// Pipeline returns the environment's pipeline (nil for adopted envs).
+// Pipeline returns the environment's pipeline.
 func (e *Env) Pipeline() *pipeline.Pipeline { return e.pipe }
 
 // Slot returns the environment's home slot on the fleet's hash ring.
@@ -234,14 +248,19 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 	if err := validateID(id); err != nil {
 		return nil, err
 	}
-	sc, err := sim.Build(cfg)
+	sc, dep, err := Deployment(id, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: build %s: %w", id, err)
+		return nil, err
 	}
-	for _, r := range sc.Readers {
-		if !strings.HasPrefix(r.ID, id+"/") {
-			r.ID = id + "/" + r.ID
+	var eps []session.Endpoint
+	for _, ep := range f.o.dial {
+		if envOf(ep.ID) != id {
+			continue
 		}
+		if dep.Arrays[ep.ID] == nil {
+			return nil, fmt.Errorf("fleet: dial endpoint %q: no such reader in %s", ep.ID, id)
+		}
+		eps = append(eps, ep)
 	}
 
 	e := &Env{
@@ -263,24 +282,40 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 			return nil, fmt.Errorf("fleet: wal %s: %w", id, err)
 		}
 		e.wal = w
-		e.walStatus = func() api.WALStatus { return adapt.WALStatus(w.Status()) }
 	}
 
-	arrays := map[string]*rf.Array{}
-	for _, r := range sc.Readers {
-		arrays[r.ID] = r.Array
-	}
+	logger := f.o.logger.With("env", id)
 	pipeOpts := []pipeline.Option{
 		pipeline.WithObs(f.o.reg),
 		pipeline.WithTracer(e.tracer),
 		pipeline.WithHealth(e.health),
-		pipeline.WithLogger(f.o.logger.With("env", id)),
+		pipeline.WithLogger(logger),
+	}
+	if len(eps) > 0 {
+		// The supervisor only builds here; it starts after the WAL
+		// replay, so replayed and live rounds never interleave.
+		sopts := append([]session.Option{session.WithObs(f.o.reg), session.WithLogger(logger)}, f.o.sopts...)
+		e.sup, err = session.New(eps, append(sopts,
+			session.WithHandler(e.ingest),
+			session.WithCapabilitiesCheck(e.checkCaps),
+			session.WithOnState(func(reader string, st session.State) {
+				logger.Info("reader state", "reader", reader, "state", st.String())
+				e.pipe.NotifyLiveChange()
+			}),
+		)...)
+		if err != nil {
+			if e.wal != nil {
+				e.wal.Close()
+			}
+			return nil, fmt.Errorf("fleet: dial %s: %w", id, err)
+		}
+		pipeOpts = append(pipeOpts, pipeline.WithLiveReaders(e.sup.Live))
 	}
 	if f.o.pipe != nil {
 		pipeOpts = append(pipeOpts, f.o.pipe(id)...)
 	}
 	pipeOpts = append(pipeOpts, popts...)
-	p, err := pipeline.New(pipeline.Deployment{Arrays: arrays, Grid: sc.Grid}, pipeOpts...)
+	p, err := pipeline.New(dep, pipeOpts...)
 	if err != nil {
 		if e.wal != nil {
 			e.wal.Close()
@@ -288,7 +323,6 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 		return nil, fmt.Errorf("fleet: pipeline %s: %w", id, err)
 	}
 	e.pipe = p
-	e.stats = func() api.PipelineStats { return adapt.PipelineStats(p.Stats()) }
 
 	e.reportCtr = f.reportsVec.With(id)
 	hub, fixCtr := f.o.hub, f.fixesVec.With(id)
@@ -318,17 +352,19 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 
 	// Log-only fix consumer: the pipeline requires Fixes() to be
 	// drained; the hub publish above is the real delivery path.
-	logger := f.o.logger
 	e.fixWG.Add(1)
 	go func() {
 		defer e.fixWG.Done()
 		for fix := range p.Fixes() {
 			if fix.Err != nil {
-				logger.Debug("no fix", "env", id, "seq", fix.Seq, "error", fix.Err)
+				logger.Debug("no fix", "seq", fix.Seq, "error", fix.Err)
 				continue
 			}
-			logger.Info("fix", "env", id, "seq", fix.Seq,
-				"x", fix.Pos.X, "y", fix.Pos.Y, "confidence", fix.Confidence)
+			args := []any{"seq", fix.Seq, "x", fix.Pos.X, "y", fix.Pos.Y, "confidence", fix.Confidence}
+			if fix.Degraded {
+				args = append(args, "degraded", true, "views", fix.Views)
+			}
+			logger.Info("fix", args...)
 		}
 	}()
 
@@ -356,53 +392,125 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 		return float64(p.Stats().PendingSequences)
 	}, id)
 
+	if e.sup != nil {
+		e.sup.Start()
+	}
 	if err := f.register(e); err != nil {
 		f.teardownEnv(e)
 		return nil, err
 	}
 	f.o.logger.Info("environment added", "env", id, "slot", e.slot,
-		"readers", len(sc.Readers), "tags", sc.Cfg.Tags, "wal", e.wal != nil)
+		"readers", len(sc.Readers), "tags", sc.Cfg.Tags, "wal", e.wal != nil, "dialed", len(eps))
 	return e, nil
 }
 
-// Adopted describes an externally-managed environment for Adopt.
-type Adopted struct {
-	// Name is the scenario name shown on /api/v1/envs (default: the ID).
-	Name    string
-	Readers int
-	Tags    int
-	Stats   func() api.PipelineStats
-	Tracer  *tracing.Tracer
-	Health  *health.Monitor
-	// WALStatus backs /api/v1/{env}/wal when set.
-	WALStatus func() api.WALStatus
+// Deployment builds environment id's scenario from cfg, with every
+// reader ID prefixed "<id>/", and the pipeline deployment over those
+// readers. Add builds through it, and so must anything that replays an
+// environment's WAL: its records carry the prefixed IDs.
+func Deployment(id string, cfg sim.Config) (*sim.Scenario, pipeline.Deployment, error) {
+	sc, err := sim.Build(cfg)
+	if err != nil {
+		return nil, pipeline.Deployment{}, fmt.Errorf("fleet: build %s: %w", id, err)
+	}
+	arrays := make(map[string]*rf.Array, len(sc.Readers))
+	for _, r := range sc.Readers {
+		if !strings.HasPrefix(r.ID, id+"/") {
+			r.ID = id + "/" + r.ID
+		}
+		arrays[r.ID] = r.Array
+	}
+	return sc, pipeline.Deployment{Arrays: arrays, Grid: sc.Grid}, nil
 }
 
-// Adopt registers an environment whose pipeline is owned elsewhere —
-// dwatchd's legacy single-deployment modes adopt their one environment
-// so the env-scoped routes and /api/v1/envs work identically in
-// single- and multi-env deployments. Remove on an adopted environment
-// unregisters it without touching the caller's pipeline.
-func (f *Fleet) Adopt(id string, a Adopted) (*Env, error) {
-	if err := validateID(id); err != nil {
-		return nil, err
+// envOf returns the environment prefix of an env-qualified reader ID
+// ("" when the ID has none).
+func envOf(readerID string) string {
+	env, _, ok := strings.Cut(readerID, "/")
+	if !ok {
+		return ""
 	}
-	e := &Env{
-		id: id, added: time.Now(), slot: f.ring.Slot(id),
-		adopted: true, stop: make(chan struct{}),
-		stats: a.Stats, walStatus: a.WALStatus,
-		tracer: a.Tracer, health: a.Health,
+	return env
+}
+
+// ingest is the one per-report path every source shares: durability
+// before dispatch (once the WAL append returns, the report survives a
+// crash and is replayed when the environment is next added), then the
+// pipeline, then the counters.
+func (e *Env) ingest(rep *llrp.ROAccessReport, payload []byte) error {
+	if e.wal != nil {
+		if _, err := e.wal.Append(time.Now(), llrp.MsgROAccessReport, payload); err != nil {
+			return fmt.Errorf("fleet: %s: wal append: %w", e.id, err)
+		}
 	}
-	e.scenario = &sim.Scenario{Name: a.Name, Cfg: sim.Config{Tags: a.Tags}}
-	if a.Name == "" {
-		e.scenario.Name = id
+	if err := e.pipe.Ingest(rep); err != nil {
+		return fmt.Errorf("fleet: %s: %w", e.id, err)
 	}
-	e.scenario.Readers = nil
-	e.adoptedReaders = a.Readers
-	if err := f.register(e); err != nil {
-		return nil, err
+	e.reports.Add(1)
+	e.reportCtr.Add(1)
+	return nil
+}
+
+// checkCaps accepts a reader's capabilities only if it is one of the
+// environment's readers with the deployed antenna count; a mismatched
+// reader's reports would be rejected anyway.
+func (e *Env) checkCaps(caps *llrp.ReaderCapabilities) error {
+	for _, r := range e.scenario.Readers {
+		if r.ID != caps.ReaderID {
+			continue
+		}
+		if int(caps.Antennas) != r.Array.Elements {
+			return fmt.Errorf("reader %s reports %d antennas, deployment has %d",
+				caps.ReaderID, caps.Antennas, r.Array.Elements)
+		}
+		return nil
 	}
-	return e, nil
+	return fmt.Errorf("unknown reader %q in environment %s", caps.ReaderID, e.id)
+}
+
+// Handle is the fleet's LLRP handler (dwatchd -listen): readers dial
+// in, announce their env-qualified ID in the capabilities exchange, and
+// stream reports that are routed to the environment the ID names.
+func (f *Fleet) Handle(conn *llrp.Conn, msg llrp.Message) error {
+	switch msg.Type {
+	case llrp.MsgKeepalive:
+		return conn.SendWithID(llrp.MsgKeepaliveAck, msg.ID, nil)
+	case llrp.MsgGetReaderCapabilitiesResponse:
+		caps, err := llrp.UnmarshalReaderCapabilities(msg.Payload)
+		if err != nil {
+			return err
+		}
+		e := f.lookup(envOf(caps.ReaderID))
+		if e == nil {
+			f.o.logger.Warn("capabilities from reader of no environment", "reader", caps.ReaderID)
+			return nil
+		}
+		if err := e.checkCaps(caps); err != nil {
+			f.o.logger.Warn("reader rejected; its reports will not be ingested", "reader", caps.ReaderID, "error", err)
+			return nil
+		}
+		f.o.logger.Info("reader online", "reader", caps.ReaderID, "model", caps.Model, "antennas", caps.Antennas)
+		// Control plane: install and start the acquisition spec — the
+		// paper's cadence (0.1 s period, 10 snapshots per tag).
+		spec := llrp.ROSpec{ID: 1, PeriodMs: 100, SnapshotsPerTag: 10}
+		_, err = conn.Send(llrp.MsgStartROSpec, spec.Marshal())
+		return err
+	case llrp.MsgROAccessReport:
+		rep, err := llrp.UnmarshalROAccessReport(msg.Payload)
+		if err != nil {
+			return err
+		}
+		e := f.lookup(envOf(rep.ReaderID))
+		if e == nil {
+			err = fmt.Errorf("%w: %q", ErrNotFound, envOf(rep.ReaderID))
+		} else {
+			err = e.ingest(rep, msg.Payload)
+		}
+		if err != nil {
+			f.o.logger.Warn("ingest failed", "reader", rep.ReaderID, "seq", rep.Seq, "error", err)
+		}
+	}
+	return nil
 }
 
 // register inserts e under the fleet lock.
@@ -452,9 +560,9 @@ func (f *Fleet) Len() int {
 	return len(f.envs)
 }
 
-// Remove deregisters an environment and, for fleet-owned environments,
-// drains it gracefully: new lookups miss immediately, any Simulate
-// driver stops, the pipeline flushes in-flight work, the WAL closes,
+// Remove deregisters an environment and drains it gracefully: new
+// lookups miss immediately, any Simulate driver and the dialed-reader
+// supervisor stop, the pipeline flushes in-flight work, the WAL closes,
 // and the hub forgets the environment's latest fix. Other environments
 // are untouched.
 func (f *Fleet) Remove(id string) error {
@@ -488,14 +596,13 @@ func (f *Fleet) Remove(id string) error {
 func (f *Fleet) teardownEnv(e *Env) {
 	e.slo.Close() // idempotent; covers Add-failure paths that skip Remove
 	close(e.stop)
-	if !e.adopted {
-		if e.pipe != nil {
-			e.pipe.Drain()
-		}
-		e.fixWG.Wait()
-		if e.wal != nil {
-			e.wal.Close()
-		}
+	if e.sup != nil {
+		e.sup.Stop() // no report may race the drain
+	}
+	e.pipe.Drain()
+	e.fixWG.Wait()
+	if e.wal != nil {
+		e.wal.Close()
 	}
 	f.o.hub.Forget(e.id)
 }
@@ -509,6 +616,22 @@ func (f *Fleet) Reload(id string, cfg sim.Config, popts ...pipeline.Option) (*En
 		return nil, err
 	}
 	return f.Add(id, cfg, popts...)
+}
+
+// ReadConfig parses one JSON deployment config; the file stem is the
+// environment ID ("warehouse-a.json" → "warehouse-a").
+func ReadConfig(path string) (string, sim.Config, error) {
+	id := strings.TrimSuffix(filepath.Base(path), ".json")
+	file, err := os.Open(path)
+	if err != nil {
+		return "", sim.Config{}, fmt.Errorf("fleet: %w", err)
+	}
+	defer file.Close()
+	cfg, err := sim.LoadConfig(file)
+	if err != nil {
+		return "", sim.Config{}, fmt.Errorf("fleet: %s: %w", filepath.Base(path), err)
+	}
+	return id, cfg, nil
 }
 
 // ReadConfigDir parses every *.json deployment config in dir without
@@ -528,15 +651,9 @@ func ReadConfigDir(dir string) (map[string]sim.Config, []string, error) {
 		if ent.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		id := strings.TrimSuffix(name, ".json")
-		file, err := os.Open(filepath.Join(dir, name))
+		id, cfg, err := ReadConfig(filepath.Join(dir, name))
 		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: %w", err)
-		}
-		cfg, err := sim.LoadConfig(file)
-		file.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: %s: %w", name, err)
+			return nil, nil, err
 		}
 		catalog[id] = cfg
 		ids = append(ids, id)
@@ -566,32 +683,18 @@ func (f *Fleet) LoadDir(dir string, popts ...pipeline.Option) ([]string, error) 
 	return added, nil
 }
 
-// Ingest appends a report to the environment's WAL (when configured)
-// and dispatches it to the environment's pipeline — the fleet-mode
-// equivalent of dwatchd's LLRP handler path.
+// Ingest decodes one RO_ACCESS_REPORT payload and feeds it through
+// environment id's ingest path.
 func (f *Fleet) Ingest(id string, payload []byte) error {
 	e := f.lookup(id)
 	if e == nil {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	if e.adopted {
-		return fmt.Errorf("fleet: environment %q is adopted; ingest through its owner", id)
-	}
 	rep, err := llrp.UnmarshalROAccessReport(payload)
 	if err != nil {
 		return fmt.Errorf("fleet: %s: %w", id, err)
 	}
-	if e.wal != nil {
-		if _, err := e.wal.Append(time.Now(), llrp.MsgROAccessReport, payload); err != nil {
-			return fmt.Errorf("fleet: %s: wal append: %w", id, err)
-		}
-	}
-	if err := e.pipe.Ingest(rep); err != nil {
-		return fmt.Errorf("fleet: %s: %w", id, err)
-	}
-	e.reports.Add(1)
-	e.reportCtr.Add(1)
-	return nil
+	return e.ingest(rep, payload)
 }
 
 // Simulate drives an environment with generated LLRP rounds (two
@@ -716,19 +819,22 @@ func (f *Fleet) replayWAL(e *Env) error {
 	return nil
 }
 
-// Ready reports nil once every fleet-owned environment has confirmed
-// all its reader baselines — the /readyz hook for fleet mode.
-func (f *Fleet) Ready() error {
+// snapshot returns the registered environments sorted by ID.
+func (f *Fleet) snapshot() []*Env {
 	f.mu.Lock()
 	envs := make([]*Env, 0, len(f.envs))
 	for _, e := range f.envs {
 		envs = append(envs, e)
 	}
 	f.mu.Unlock()
-	for _, e := range envs {
-		if e.adopted || e.pipe == nil {
-			continue
-		}
+	sort.Slice(envs, func(i, j int) bool { return envs[i].id < envs[j].id })
+	return envs
+}
+
+// Ready reports nil once every environment has confirmed all its
+// reader baselines — the /readyz hook.
+func (f *Fleet) Ready() error {
+	for _, e := range f.snapshot() {
 		st := e.pipe.Stats()
 		if st.BaselinesConfirmed < uint64(len(e.scenario.Readers)) {
 			return fmt.Errorf("environment %q: %d/%d baselines confirmed",
@@ -738,16 +844,39 @@ func (f *Fleet) Ready() error {
 	return nil
 }
 
+// Readers is the /readyz reader-state hook: the status of every
+// dialed reader session across the fleet, sorted by reader ID.
+func (f *Fleet) Readers() []serve.ReaderStatus {
+	var out []serve.ReaderStatus
+	for _, e := range f.snapshot() {
+		if e.sup == nil {
+			continue
+		}
+		for _, st := range e.sup.Status() {
+			out = append(out, serve.ReaderStatus{
+				ID: st.ID, Addr: st.Addr, State: st.State.String(),
+				Since: st.Since, Reconnects: st.Reconnects, LastError: st.LastError,
+			})
+		}
+	}
+	return out
+}
+
+// Degraded is the /readyz degraded-mode hook: true while any dialed
+// reader is not up, so some environment fuses from a partial quorum.
+func (f *Fleet) Degraded() bool {
+	for _, e := range f.snapshot() {
+		if e.sup != nil && e.sup.Degraded() {
+			return true
+		}
+	}
+	return false
+}
+
 // Infos adapts the registry to serve.WithEnvs: a sorted listing with
 // live fix/report counts.
 func (f *Fleet) Infos() []serve.EnvInfo {
-	f.mu.Lock()
-	envs := make([]*Env, 0, len(f.envs))
-	for _, e := range f.envs {
-		envs = append(envs, e)
-	}
-	f.mu.Unlock()
-	sort.Slice(envs, func(i, j int) bool { return envs[i].id < envs[j].id })
+	envs := f.snapshot()
 	out := make([]serve.EnvInfo, len(envs))
 	for i, e := range envs {
 		out[i] = e.info()
@@ -756,17 +885,13 @@ func (f *Fleet) Infos() []serve.EnvInfo {
 }
 
 func (e *Env) info() serve.EnvInfo {
-	readers := len(e.scenario.Readers)
-	if e.adopted {
-		readers = e.adoptedReaders
-	}
 	name := e.scenario.Name
 	if name == e.id {
 		name = ""
 	}
 	return serve.EnvInfo{
 		ID: e.id, Name: name, Slot: e.slot,
-		Readers: readers, Tags: e.scenario.Cfg.Tags,
+		Readers: len(e.scenario.Readers), Tags: e.scenario.Cfg.Tags,
 		Fixes: e.fixes.Load(), Reports: e.reports.Load(),
 		Added: e.added,
 	}
@@ -778,13 +903,16 @@ func (f *Fleet) EnvHandle(id string) (serve.EnvHandle, bool) {
 	if e == nil {
 		return serve.EnvHandle{}, false
 	}
-	return serve.EnvHandle{
-		Info:      e.info(),
-		Stats:     e.stats,
-		Tracer:    e.tracer,
-		Health:    e.health,
-		WALStatus: e.walStatus,
-	}, true
+	h := serve.EnvHandle{
+		Info:   e.info(),
+		Stats:  func() api.PipelineStats { return adapt.PipelineStats(e.pipe.Stats()) },
+		Tracer: e.tracer,
+		Health: e.health,
+	}
+	if w := e.wal; w != nil {
+		h.WALStatus = func() api.WALStatus { return adapt.WALStatus(w.Status()) }
+	}
+	return h, true
 }
 
 // Close removes every environment (graceful drains included) and

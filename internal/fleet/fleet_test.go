@@ -12,8 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"dwatch/internal/api"
 	"dwatch/internal/obs"
+	"dwatch/internal/pipeline"
+	"dwatch/internal/replay"
 	"dwatch/internal/serve"
 	"dwatch/internal/sim"
 )
@@ -159,8 +160,11 @@ func TestFleetSimulate(t *testing.T) {
 }
 
 // TestFleetWALReplayOnReadd: a re-added environment replays its WAL
-// subdirectory through the fresh pipeline, rebuilding the counters the
-// previous incarnation had.
+// subdirectory through the fresh pipeline, rebuilding the counters and
+// the reader baselines the previous incarnation had, so the next
+// Simulate rounds fuse bit-identically to an environment that was never
+// removed — WAL replay is how a restarted dwatchd restores its
+// baselines.
 func TestFleetWALReplayOnReadd(t *testing.T) {
 	root := t.TempDir()
 	f := New(WithWALRoot(root))
@@ -185,12 +189,50 @@ func TestFleetWALReplayOnReadd(t *testing.T) {
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Reload of removed env = %v, want ErrNotFound", err)
 	}
-	e2, err = f.Add("room-a", tableCfg(1))
+	readded := newOutcomes()
+	e2, err = f.Add("room-a", tableCfg(1), pipeline.WithOnFix(readded.add))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e2.Pipeline().Stats().ReportsIn; got != ingested {
 		t.Fatalf("replayed ReportsIn = %d, want %d", got, ingested)
+	}
+	readers := uint64(len(e2.Scenario().Readers))
+	waitFor(t, "replayed baselines", func() bool {
+		return e2.Pipeline().Stats().BaselinesConfirmed == readers
+	})
+
+	// The reference never leaves its fleet. WAL replay restores the
+	// pipeline, not the simulator: the fresh scenario's RNG is advanced
+	// past the first run so both environments generate the same next
+	// rounds.
+	ref := New()
+	defer ref.Close()
+	refOut := newOutcomes()
+	if _, err := ref.Add("room-a", tableCfg(1), pipeline.WithOnFix(refOut.add)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Simulate(context.Background(), "room-a", 1, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.GenerateLLRPRounds(e2.Scenario(), 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, fl := range []*Fleet{f, ref} {
+		if err := fl.Simulate(context.Background(), "room-a", 2, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := fl.Remove("room-a"); err != nil { // drains every outcome
+			t.Fatal(err)
+		}
+	}
+	// Seq 3, then seqs 4–7: the second run's two no-target rounds fuse
+	// online too.
+	if n := len(refOut.fixes()); n != 5 {
+		t.Fatalf("reference fused %d outcomes, want 5", n)
+	}
+	if got, want := replay.HashFixes(readded.fixes()), replay.HashFixes(refOut.fixes()); got != want {
+		t.Fatalf("re-added env diverged from the never-removed one: parity %s vs %s", got, want)
 	}
 }
 
@@ -229,44 +271,12 @@ func TestFleetLoadDir(t *testing.T) {
 	}
 }
 
-// TestFleetAdopt: adopted environments appear in listings and handles
-// but their lifecycle stays with the caller.
-func TestFleetAdopt(t *testing.T) {
-	f := New()
-	defer f.Close()
-	stats := func() api.PipelineStats { return api.PipelineStats{ReportsIn: 7} }
-	e, err := f.Adopt("legacy", Adopted{Name: "hall", Readers: 4, Tags: 30, Stats: stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Pipeline() != nil {
-		t.Fatal("adopted env has a fleet pipeline")
-	}
-	info := f.Infos()[0]
-	if info.ID != "legacy" || info.Name != "hall" || info.Readers != 4 || info.Tags != 30 {
-		t.Fatalf("adopted info = %+v", info)
-	}
-	h, ok := f.EnvHandle("legacy")
-	if !ok || h.Stats == nil {
-		t.Fatal("adopted handle missing stats")
-	}
-	if err := f.Ready(); err != nil {
-		t.Fatalf("Ready with adopted env = %v", err)
-	}
-	if err := f.Remove("legacy"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFleetClosed: lifecycle calls after Close fail cleanly.
 func TestFleetClosed(t *testing.T) {
 	f := New()
 	f.Close()
 	if _, err := f.Add("x", tableCfg(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Add after Close = %v, want ErrClosed", err)
-	}
-	if _, err := f.Adopt("x", Adopted{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Adopt after Close = %v, want ErrClosed", err)
 	}
 }
 

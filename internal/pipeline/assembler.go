@@ -123,9 +123,7 @@ func newAssembler(p *Pipeline, fuser *dwatch.Fuser) *assembler {
 		gridIdx:         map[gridIdxKey]*loc.GridIndex{},
 	}
 	for id := range p.cfg.Arrays {
-		// Restored-baseline pipelines start every reader past the
-		// baseline rounds (p.rounds is pre-seeded).
-		a.seqs[id] = &readerSeq{next: p.rounds[id], ready: map[int]*report{}}
+		a.seqs[id] = &readerSeq{ready: map[int]*report{}}
 	}
 	a.shards = make([]*shard, p.cfg.AssemblerShards)
 	for i := range a.shards {
@@ -182,9 +180,7 @@ func (a *assembler) apply(g *report) error {
 }
 
 // applyBaseline folds one baseline-round report into the fuser under
-// the write lock. The OnBaseline callback runs inside the critical
-// section: callers (dwatchd state persistence) rely on exclusive fuser
-// access while the callback executes.
+// the write lock.
 func (a *assembler) applyBaseline(g *report) {
 	confirm := g.round == a.p.cfg.BaselineRounds-1
 	a.fuserMu.Lock()
@@ -193,9 +189,6 @@ func (a *assembler) applyBaseline(g *report) {
 	}
 	if confirm {
 		a.fuser.FinishBaseline()
-		if a.p.cfg.OnBaseline != nil {
-			a.p.cfg.OnBaseline(g.reader, len(g.spectra))
-		}
 	}
 	a.fuserMu.Unlock()
 	if confirm {

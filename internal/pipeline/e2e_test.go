@@ -249,77 +249,3 @@ func TestShardCountIndependence(t *testing.T) {
 		}
 	}
 }
-
-// TestRestoredBaselineSkipsBaselineRounds: a pipeline seeded with a
-// previously-built fuser treats every report as online evidence and
-// reproduces the original online fixes.
-func TestRestoredBaselineSkipsBaselineRounds(t *testing.T) {
-	sc, err := sim.Build(sim.TableConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := genReports(t, sc, 2, 6)
-	arrays := map[string]*rf.Array{}
-	for _, r := range sc.Readers {
-		arrays[r.ID] = r.Array
-	}
-
-	// First pipeline: full run, keep its fuser and fixes.
-	p1, err := newFromConfig(Config{Arrays: arrays, Grid: sc.Grid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1.Start()
-	wait1 := drainFixes(p1)
-	for _, rep := range reports {
-		if err := p1.Ingest(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p1.Drain()
-	first := map[uint32]Fix{}
-	for _, f := range wait1() {
-		if f.Err == nil {
-			first[f.Seq] = f
-		}
-	}
-
-	// Second pipeline: restored fuser, online reports only.
-	p2, err := newFromConfig(Config{Arrays: arrays, Grid: sc.Grid, Restored: p1.Fuser()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2.Start()
-	wait2 := drainFixes(p2)
-	perReader := map[string]int{}
-	for _, rep := range reports {
-		if perReader[rep.ReaderID]++; perReader[rep.ReaderID] <= 2 {
-			continue // skip the baseline rounds
-		}
-		if err := p2.Ingest(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p2.Drain()
-	second := map[uint32]Fix{}
-	for _, f := range wait2() {
-		if f.Err == nil {
-			second[f.Seq] = f
-		}
-	}
-	if st := p2.Stats(); st.BaselinesConfirmed != 0 {
-		t.Fatalf("restored pipeline confirmed %d baselines, want 0", st.BaselinesConfirmed)
-	}
-	if len(first) == 0 {
-		t.Fatal("no fixes to compare")
-	}
-	if len(second) != len(first) {
-		t.Fatalf("restored run fixes = %d, original = %d", len(second), len(first))
-	}
-	for seq, a := range first {
-		b := second[seq]
-		if a.Pos != b.Pos {
-			t.Fatalf("seq %d: restored fix %+v != original %+v", seq, b, a)
-		}
-	}
-}

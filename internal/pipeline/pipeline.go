@@ -113,11 +113,8 @@ type Config struct {
 
 	// BaselineRounds is how many initial reports per reader feed the
 	// baseline instead of online localization. 0 = 2 (the paper's
-	// reference + confirmation rounds). Ignored when Restored is set.
+	// reference + confirmation rounds).
 	BaselineRounds int
-	// Restored supplies a fuser with a previously saved baseline; all
-	// readers then start directly in the online phase.
-	Restored *dwatch.Fuser
 
 	// SeqTTL evicts incomplete sequences older than this. 0 = 30 s.
 	SeqTTL time.Duration
@@ -133,12 +130,9 @@ type Config struct {
 	// Loc tunes the localizer.
 	Loc loc.Options
 
-	// OnBaseline, when set, is called after a reader's baseline is
-	// confirmed, with the number of tags whose spectra fed the
-	// confirmation round. It runs with the fuser held exclusively —
-	// the fuser is safe to snapshot (state persistence) for the
-	// duration of the callback.
-	OnBaseline func(readerID string, tags int)
+	// OnFix, when set, is subscribed to every fusion outcome at
+	// construction (see SubscribeFixes).
+	OnFix func(Fix)
 
 	// LiveReaders, when set, supplies the live-reader set (reader IDs,
 	// any order) and enables quorum-degraded fusion: a sequence no
@@ -316,17 +310,10 @@ func newFromConfig(cfg Config) (*Pipeline, error) {
 		fuseHist:   stats.NewHistogram(stats.LatencyBounds()),
 		now:        time.Now,
 	}
-	fuser := cfg.Restored
-	if fuser == nil {
-		fuser = dwatch.NewFuser(cfg.Arrays, cfg.Fuser)
-	} else {
-		// A restored baseline puts every reader straight into the
-		// online phase.
-		for id := range cfg.Arrays {
-			p.rounds[id] = cfg.BaselineRounds
-		}
+	p.asm = newAssembler(p, dwatch.NewFuser(cfg.Arrays, cfg.Fuser))
+	if cfg.OnFix != nil {
+		p.fixSubs = append(p.fixSubs, cfg.OnFix)
 	}
-	p.asm = newAssembler(p, fuser)
 	p.ins = newInstruments(cfg.Obs, p)
 	return p, nil
 }
@@ -615,7 +602,3 @@ func (p *Pipeline) markClosed() bool {
 	p.closed = true
 	return already
 }
-
-// Fuser exposes the pipeline's evidence fuser. Only safe to inspect
-// after Drain (the assembler owns it while running).
-func (p *Pipeline) Fuser() *dwatch.Fuser { return p.asm.fuser }

@@ -1,12 +1,10 @@
 package replay
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -346,97 +344,6 @@ func TestRunPacing(t *testing.T) {
 	// 3 s of capture at 10x = 300 ms of wall sleep.
 	if slept != 300*time.Millisecond {
 		t.Fatalf("slept %v, want 300ms", slept)
-	}
-}
-
-// TestLegacySourceTornTail: a legacy "DWRL" capture truncated
-// mid-record replays its complete records and reports the tear without
-// failing the run.
-func TestLegacySourceTornTail(t *testing.T) {
-	sc, rounds := fixture(t)
-	var buf bytes.Buffer
-	rw := llrp.NewRecordWriter(&buf)
-	n := 0
-	for _, rd := range rounds {
-		for _, id := range readerIDs(sc) {
-			if err := rw.Record(time.UnixMicro(int64(n)), llrp.Message{Type: llrp.MsgROAccessReport, Payload: rd.Payloads[id]}); err != nil {
-				t.Fatal(err)
-			}
-			n++
-		}
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lastLen := len(rounds[len(rounds)-1].Payloads[readerIDs(sc)[1]])
-	torn := buf.Bytes()[:buf.Len()-lastLen/2] // shear the final record
-
-	src := NewLegacySource(bytes.NewReader(torn))
-	sum, err := Run(src, deployment(sc), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Records != n-1 {
-		t.Fatalf("replayed %d records before the tear, want %d", sum.Records, n-1)
-	}
-	if sum.SourceError == "" || !strings.Contains(sum.SourceError, "torn") {
-		t.Fatalf("tear not surfaced: %q", sum.SourceError)
-	}
-}
-
-// TestLegacyConvertThenReplay: the migration path — convert a legacy
-// capture into WAL segments, then replay the WAL — preserves both the
-// record count and the fix parity of replaying the legacy stream
-// directly.
-func TestLegacyConvertThenReplay(t *testing.T) {
-	sc, rounds := fixture(t)
-	var buf bytes.Buffer
-	rw := llrp.NewRecordWriter(&buf)
-	for i, rd := range rounds {
-		for _, id := range readerIDs(sc) {
-			at := time.UnixMicro(1_700_000_000_000_000 + int64(i)*100_000)
-			if err := rw.Record(at, llrp.Message{Type: llrp.MsgROAccessReport, Payload: rd.Payloads[id]}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	legacy := append([]byte(nil), buf.Bytes()...)
-
-	legacySum, err := Run(NewLegacySource(bytes.NewReader(legacy)), deployment(sc), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.WithFsync(wal.FsyncNever))
-	if err != nil {
-		t.Fatal(err)
-	}
-	converted, err := wal.ConvertLegacy(bytes.NewReader(legacy), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if converted != len(rounds)*len(sc.Readers) {
-		t.Fatalf("converted %d records, want %d", converted, len(rounds)*len(sc.Readers))
-	}
-	src, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	walSum, err := Run(src, deployment(sc), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if walSum.Records != legacySum.Records || walSum.FixParity != legacySum.FixParity {
-		t.Fatalf("converted replay diverged: records %d vs %d, parity %s vs %s",
-			walSum.Records, legacySum.Records, walSum.FixParity, legacySum.FixParity)
 	}
 }
 

@@ -4,27 +4,20 @@
 // harness that turns a captured deployment into a repeatable benchmark
 // and a recovery-correctness check.
 //
-// Sources are pluggable: the segmented ingest WAL (internal/wal) is
-// the native format; legacy llrp.RecordWriter streams ("DWRL", from
-// dwatchd -record before the WAL existed) replay through the same
-// harness, or graduate into WAL segments via wal.ConvertLegacy.
+// The capture format is the segmented ingest WAL (internal/wal) that
+// every dwatchd environment writes under -wal-dir; Source abstracts it
+// so tests can feed synthetic streams.
 package replay
 
 import (
-	"errors"
-	"fmt"
-	"io"
-	"os"
 	"time"
 
-	"dwatch/internal/llrp"
 	"dwatch/internal/wal"
 )
 
 // Item is one recorded LLRP message on its way back into the pipeline.
 type Item struct {
-	// Seq is the WAL sequence number (0 for legacy streams, which
-	// carry no sequencing).
+	// Seq is the WAL sequence number.
 	Seq uint64
 	// At is the original capture timestamp — the pacing reference.
 	At      time.Time
@@ -67,51 +60,3 @@ func (s *WALSource) Next() (Item, error) {
 func (s *WALSource) Damage() *wal.Damage { return s.r.Damage() }
 
 func (s *WALSource) Close() error { return s.r.Close() }
-
-// LegacySource replays a legacy llrp.RecordWriter stream. A malformed
-// record (the legacy format has no CRC, so a torn tail and bit rot are
-// indistinguishable) surfaces as ErrLegacyTail, which Run tolerates
-// the same way the WAL scanner tolerates a torn segment tail.
-type LegacySource struct {
-	rr *llrp.RecordReader
-	c  io.Closer
-}
-
-// ErrLegacyTail marks a torn record at the end of a legacy stream.
-var ErrLegacyTail = errors.New("replay: torn record in legacy stream")
-
-// OpenLegacy opens a legacy capture file.
-func OpenLegacy(path string) (*LegacySource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	rr := llrp.NewRecordReader(f)
-	return &LegacySource{rr: rr, c: f}, nil
-}
-
-// NewLegacySource wraps an already-open legacy stream.
-func NewLegacySource(r io.Reader) *LegacySource {
-	return &LegacySource{rr: llrp.NewRecordReader(r)}
-}
-
-func (s *LegacySource) Next() (Item, error) {
-	rec, err := s.rr.Next()
-	if errors.Is(err, io.EOF) {
-		return Item{}, io.EOF
-	}
-	if errors.Is(err, llrp.ErrBadRecord) {
-		return Item{}, fmt.Errorf("%w: %v", ErrLegacyTail, err)
-	}
-	if err != nil {
-		return Item{}, err
-	}
-	return Item{At: rec.At, Type: rec.Message.Type, Payload: rec.Message.Payload}, nil
-}
-
-func (s *LegacySource) Close() error {
-	if s.c != nil {
-		return s.c.Close()
-	}
-	return nil
-}

@@ -106,7 +106,7 @@ func TestServePlaneEndToEnd(t *testing.T) {
 		WithHub(hub),
 		WithTracer(tracer),
 		WithHealth(mon),
-		WithStats(func() api.PipelineStats { return adapt.PipelineStats(p.Stats()) }),
+		WithFleetStats(func() api.FleetStats { return api.FleetStats{sc.Name: adapt.PipelineStats(p.Stats())} }),
 		WithReady(func() error {
 			if st := p.Stats(); st.BaselinesConfirmed < uint64(len(arrays)) {
 				return fmt.Errorf("baseline: %d/%d readers confirmed", st.BaselinesConfirmed, len(arrays))
@@ -218,10 +218,11 @@ func TestServePlaneEndToEnd(t *testing.T) {
 	}
 
 	// Live stats agree with the pipeline through the typed client.
-	stats, err := client.EnvStats(context.Background(), "")
+	fleetStats, err := client.FleetStats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := fleetStats[sc.Name]
 	st := p.Stats()
 	if stats.ReportsIn == 0 || stats.ReportsIn != st.ReportsIn {
 		t.Fatalf("client stats ReportsIn = %d, pipeline %d", stats.ReportsIn, st.ReportsIn)

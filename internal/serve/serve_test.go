@@ -87,42 +87,26 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestStatsJSON: the single-deployment stats hook serves an
-// api.PipelineStats, decodable by the typed client's contract.
+// TestStatsJSON: the stats hook serves an api.FleetStats (one
+// api.PipelineStats per environment), decodable by the typed client's
+// contract.
 func TestStatsJSON(t *testing.T) {
-	s := New(WithStats(func() api.PipelineStats {
-		return api.PipelineStats{ReportsIn: 12, Fixes: 3}
+	fs := New(WithFleetStats(func() api.FleetStats {
+		return api.FleetStats{"site-a": {ReportsIn: 12, Fixes: 9}}
 	}))
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/stats", nil))
+	fs.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/stats", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("stats = %d", rr.Code)
 	}
 	if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("content type %q", ct)
 	}
-	var got api.PipelineStats
-	if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.ReportsIn != 12 || got.Fixes != 3 {
-		t.Fatalf("stats round-trip = %+v", got)
-	}
-
-	// Fleet mode: the FleetStats hook wins and serves the per-env map.
-	fs := New(
-		WithStats(func() api.PipelineStats { return api.PipelineStats{} }),
-		WithFleetStats(func() api.FleetStats {
-			return api.FleetStats{"site-a": {Fixes: 9}}
-		}),
-	)
-	rr = httptest.NewRecorder()
-	fs.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/stats", nil))
 	var fleet api.FleetStats
 	if err := json.Unmarshal(rr.Body.Bytes(), &fleet); err != nil {
 		t.Fatal(err)
 	}
-	if fleet["site-a"].Fixes != 9 {
+	if fleet["site-a"].ReportsIn != 12 || fleet["site-a"].Fixes != 9 {
 		t.Fatalf("fleet stats = %+v", fleet)
 	}
 
@@ -282,15 +266,24 @@ func TestStartShutdown(t *testing.T) {
 	}
 }
 
-// TestWALStatusJSON: /api/v1/wal serves the api.WALStatus the hook
-// returns (dwatchd adapts wal.WAL.Status), and 404s with the standard
-// error envelope when no WAL is configured.
+// TestWALStatusJSON: /api/v1/{env}/wal serves the api.WALStatus the
+// environment's hook returns (the fleet adapts wal.WAL.Status), and
+// 404s with the standard error envelope when the environment has no
+// WAL.
 func TestWALStatusJSON(t *testing.T) {
-	s := New(WithWALStatus(func() api.WALStatus {
-		return api.WALStatus{Segments: 2, Recovered: 7, Fsync: "interval"}
+	s := New(WithEnvLookup(func(id string) (EnvHandle, bool) {
+		switch id {
+		case "site-a":
+			return EnvHandle{WALStatus: func() api.WALStatus {
+				return api.WALStatus{Segments: 2, Recovered: 7, Fsync: "interval"}
+			}}, true
+		case "no-wal":
+			return EnvHandle{}, true
+		}
+		return EnvHandle{}, false
 	}))
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/wal", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/site-a/wal", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("wal = %d", rr.Code)
 	}
@@ -303,14 +296,13 @@ func TestWALStatusJSON(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/api/v1/wal", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/api/v1/site-a/wal", nil))
 	if rr.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST wal = %d, want 405", rr.Code)
 	}
 
-	none := New()
 	rr = httptest.NewRecorder()
-	none.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/wal", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/no-wal/wal", nil))
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("hookless wal = %d, want 404", rr.Code)
 	}
@@ -319,8 +311,8 @@ func TestWALStatusJSON(t *testing.T) {
 	}
 
 	// The endpoint participates in bounded-cardinality request counting.
-	if endpointLabel("/api/v1/wal") != "/api/v1/wal" {
-		t.Fatal("/api/v1/wal not a known endpoint label")
+	if endpointLabel("/api/v1/site-a/wal") != "/api/v1/{env}/wal" {
+		t.Fatal("/api/v1/{env}/wal not a known endpoint label")
 	}
 }
 

@@ -1,4 +1,7 @@
-package session
+// The chaos e2e runs the supervised sessions the way dwatchd does:
+// inside a fleet environment. It lives in the external test package
+// because fleet imports session.
+package session_test
 
 import (
 	"sort"
@@ -6,12 +9,29 @@ import (
 	"testing"
 	"time"
 
+	"dwatch/internal/fleet"
 	"dwatch/internal/geom"
 	"dwatch/internal/llrp"
 	"dwatch/internal/pipeline"
-	"dwatch/internal/rf"
+	"dwatch/internal/session"
 	"dwatch/internal/sim"
 )
+
+// chaosEnv is the fleet environment the chaos runs localize in; its
+// reader IDs are "hall/reader-N".
+const chaosEnv = "hall"
+
+// waitUntil polls cond until it holds or the timeout passes.
+func waitUntil(t *testing.T, what string, timeout time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
 // chaosPositions is a walk through spots the 4-reader hall deployment
 // covers both with all four views and with the three survivors after
@@ -44,15 +64,16 @@ type chaosResult struct {
 }
 
 // runChaosScenario drives pre-generated LLRP rounds through real TCP:
-// simulated reader endpoints → (optionally faulty) supervisor sessions →
-// pipeline. With flap set, the last reader is stopped after
-// chaosKillAfter rounds and restarted on the same port before round
-// chaosReviveAfter; the rounds in between are delivered only to the
-// survivors and must fuse degraded via the live-quorum oracle.
-func runChaosScenario(t *testing.T, sc *sim.Scenario, rounds []sim.LLRPRound, flap bool, faults *FaultConfig) chaosResult {
+// simulated reader endpoints → (optionally faulty) supervisor sessions
+// of a fleet environment with dialed readers → its pipeline. With flap
+// set, the last reader is stopped after chaosKillAfter rounds and
+// restarted on the same port before round chaosReviveAfter; the rounds
+// in between are delivered only to the survivors and must fuse degraded
+// via the live-quorum oracle.
+func runChaosScenario(t *testing.T, cfg sim.Config, sc *sim.Scenario, rounds []sim.LLRPRound, flap bool, faults *session.FaultConfig) chaosResult {
 	t.Helper()
 
-	var eps []Endpoint
+	var eps []session.Endpoint
 	var sims []*sim.ReaderEndpoint
 	for _, rd := range sc.Readers {
 		e := sim.NewReaderEndpoint(rd.ID, rd.Array.Elements)
@@ -62,64 +83,55 @@ func runChaosScenario(t *testing.T, sc *sim.Scenario, rounds []sim.LLRPRound, fl
 		}
 		defer e.Stop()
 		sims = append(sims, e)
-		eps = append(eps, Endpoint{ID: rd.ID, Addr: addr.String()})
+		eps = append(eps, session.Endpoint{ID: rd.ID, Addr: addr.String()})
 	}
 
-	var p *pipeline.Pipeline
-	// Keepalive knobs are looser than fastOptions: spectrum compute on a
-	// loaded (or race-instrumented) box can starve the read pump for
-	// hundreds of milliseconds, and a false-positive kill here would
-	// silently drop an in-flight report.
-	opts := []Option{
-		WithKeepalive(llrp.KeepaliveOptions{
+	// Keepalive knobs are looser than the session unit tests': spectrum
+	// compute on a loaded (or race-instrumented) box can starve the read
+	// pump for hundreds of milliseconds, and a false-positive kill here
+	// would silently drop an in-flight report.
+	opts := []session.Option{
+		session.WithKeepalive(llrp.KeepaliveOptions{
 			Interval: 100 * time.Millisecond, Timeout: 300 * time.Millisecond, Missed: 5,
 		}),
-		WithBackoff(llrp.BackoffOptions{Base: 10 * time.Millisecond, Cap: 100 * time.Millisecond}),
-		WithBreaker(3, 200*time.Millisecond),
-		WithJitterSeed(1),
-		WithHandler(func(rep *llrp.ROAccessReport) error { return p.Ingest(rep) }),
-		WithOnState(func(string, State) { p.NotifyLiveChange() }),
+		session.WithBackoff(llrp.BackoffOptions{Base: 10 * time.Millisecond, Cap: 100 * time.Millisecond}),
+		session.WithBreaker(3, 200*time.Millisecond),
+		session.WithJitterSeed(1),
 	}
 	if faults != nil {
-		opts = append(opts, WithFaults(*faults))
+		opts = append(opts, session.WithFaults(*faults))
 	}
-	sup, err := New(eps, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := fleet.New(fleet.WithDial(eps, opts...))
+	defer f.Close()
 
-	arrays := map[string]*rf.Array{}
-	for _, rd := range sc.Readers {
-		arrays[rd.ID] = rd.Array
-	}
-	p, err = pipeline.New(pipeline.Deployment{Arrays: arrays, Grid: sc.Grid},
+	var mu sync.Mutex
+	fixes := map[uint32]pipeline.Fix{}
+	e, err := f.Add(chaosEnv, cfg,
 		pipeline.WithWorkers(2),
 		// A long TTL proves the degraded path — not eviction — rescues
 		// the outage rounds.
 		pipeline.WithSeqTTL(time.Minute),
-		pipeline.WithLiveReaders(sup.Live),
+		pipeline.WithOnFix(func(fix pipeline.Fix) {
+			mu.Lock()
+			fixes[fix.Seq] = fix
+			mu.Unlock()
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var mu sync.Mutex
-	fixes := map[uint32]pipeline.Fix{}
-	fixesDone := make(chan struct{})
-	go func() {
-		defer close(fixesDone)
-		for fix := range p.Fixes() {
-			mu.Lock()
-			fixes[fix.Seq] = fix
-			mu.Unlock()
+	p := e.Pipeline()
+	live := func() int {
+		n := 0
+		for _, st := range f.Readers() {
+			if st.State == session.StateUp.String() {
+				n++
+			}
 		}
-	}()
-
-	p.Start()
-	sup.Start()
-	defer sup.Stop()
-	waitFor(t, "all sessions up", 10*time.Second, func() bool {
-		if len(sup.Live()) != len(eps) {
+		return n
+	}
+	waitUntil(t, "all sessions up", 10*time.Second, func() bool {
+		if live() != len(eps) {
 			return false
 		}
 		for _, e := range sims {
@@ -139,16 +151,16 @@ func runChaosScenario(t *testing.T, sc *sim.Scenario, rounds []sim.LLRPRound, fl
 	for i, rd := range rounds {
 		if flap && i == chaosKillAfter {
 			victim.Stop()
-			waitFor(t, "victim detected down", 10*time.Second, func() bool {
-				return len(sup.Live()) == len(eps)-1 && sup.Degraded()
+			waitUntil(t, "victim detected down", 10*time.Second, func() bool {
+				return live() == len(eps)-1 && f.Degraded()
 			})
 		}
 		if flap && i == chaosReviveAfter {
 			if _, err := victim.Start(victim.Addr()); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "victim reconnected", 10*time.Second, func() bool {
-				return len(sup.Live()) == len(eps) && !sup.Degraded() && victim.Streaming()
+			waitUntil(t, "victim reconnected", 10*time.Second, func() bool {
+				return live() == len(eps) && !f.Degraded() && victim.Streaming()
 			})
 		}
 		for _, e := range sims {
@@ -162,13 +174,13 @@ func runChaosScenario(t *testing.T, sc *sim.Scenario, rounds []sim.LLRPRound, fl
 		// keeps slow spectrum compute from backing up the read pumps.
 		// Seq is 1-based over all rounds; baselines emit no fix.
 		if i == 1 {
-			waitFor(t, "baselines confirmed", 60*time.Second, func() bool {
+			waitUntil(t, "baselines confirmed", 60*time.Second, func() bool {
 				return p.Stats().BaselinesConfirmed == uint64(len(sc.Readers))
 			})
 		}
 		if i >= 2 {
 			seq := uint32(i + 1)
-			waitFor(t, "fix for round "+string(rune('0'+i)), 60*time.Second, func() bool {
+			waitUntil(t, "fix for round "+string(rune('0'+i)), 60*time.Second, func() bool {
 				mu.Lock()
 				defer mu.Unlock()
 				_, ok := fixes[seq]
@@ -179,15 +191,17 @@ func runChaosScenario(t *testing.T, sc *sim.Scenario, rounds []sim.LLRPRound, fl
 	if countFixes() != chaosWalkRounds {
 		t.Fatalf("emitted %d fixes, want %d", countFixes(), chaosWalkRounds)
 	}
-	sup.Stop()
-	p.Drain()
-	<-fixesDone
+	// Remove stops the supervisor, then drains the pipeline.
+	if err := f.Remove(chaosEnv); err != nil {
+		t.Fatal(err)
+	}
 	return chaosResult{fixes: fixes, stats: p.Stats()}
 }
 
 // TestChaosEndToEnd is the headline fault-tolerance test: a clean run
 // and a chaos run (fault-injected links, one reader killed and
-// restarted mid-walk) over the *same* pre-generated report bytes.
+// restarted mid-walk) of a fleet environment with dialed readers, over
+// the *same* pre-generated report bytes.
 // During the outage the pipeline emits degraded two-view fixes instead
 // of stalling; after recovery its fixes are bit-identical to the clean
 // run's. Run under -race via `make chaos`.
@@ -195,7 +209,8 @@ func TestChaosEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e is slow; skipped with -short")
 	}
-	sc, err := sim.Build(sim.HallConfig())
+	cfg := sim.HallConfig()
+	sc, _, err := fleet.Deployment(chaosEnv, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +224,10 @@ func TestChaosEndToEnd(t *testing.T) {
 		t.Fatalf("generated %d rounds, want %d", len(rounds), chaosWalkRounds+2)
 	}
 
-	clean := runChaosScenario(t, sc, rounds, false, nil)
+	clean := runChaosScenario(t, cfg, sc, rounds, false, nil)
 	// Delay faults only: they stress timing without corrupting frames,
 	// so the delivered bytes — and therefore the fixes — stay identical.
-	chaos := runChaosScenario(t, sc, rounds, true, &FaultConfig{
+	chaos := runChaosScenario(t, cfg, sc, rounds, true, &session.FaultConfig{
 		Seed: 99, DelayProb: 0.15, MaxDelay: 2 * time.Millisecond,
 	})
 

@@ -127,7 +127,7 @@ type config struct {
 	breakerCooldown  time.Duration
 	rospec           llrp.ROSpec
 	dialer           func(ctx context.Context, addr string) (net.Conn, error)
-	handler          func(*llrp.ROAccessReport) error
+	handler          func(*llrp.ROAccessReport, []byte) error
 	onState          func(id string, st State)
 	checkCaps        func(*llrp.ReaderCapabilities) error
 	obs              *obs.Registry
@@ -180,9 +180,11 @@ func WithFaults(fc FaultConfig) Option {
 	return func(c *config) { c.dialer = FaultDialer(fc) }
 }
 
-// WithHandler sets the report sink — typically a closure over
-// pipeline.Ingest. A nil handler discards reports.
-func WithHandler(fn func(*llrp.ROAccessReport) error) Option {
+// WithHandler sets the report sink — typically a fleet environment's
+// ingest. It receives each report decoded once, together with the raw
+// payload it was decoded from (for the WAL). A nil handler discards
+// reports.
+func WithHandler(fn func(rep *llrp.ROAccessReport, payload []byte) error) Option {
 	return func(c *config) { c.handler = fn }
 }
 
@@ -574,7 +576,7 @@ func (s *Session) serve(ctx context.Context, conn *llrp.Conn) error {
 					continue
 				}
 				if h := s.sup.cfg.handler; h != nil {
-					if err := h(rep); err != nil {
+					if err := h(rep, msg.Payload); err != nil {
 						s.sup.log().Warn("report handler failed", "reader", s.ep.ID, "error", err)
 					}
 				}

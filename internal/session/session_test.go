@@ -79,7 +79,7 @@ func TestSupervisorStreamsReports(t *testing.T) {
 	var mu sync.Mutex
 	got := map[string]int{}
 	opts := append(fastOptions(),
-		WithHandler(func(rep *llrp.ROAccessReport) error {
+		WithHandler(func(rep *llrp.ROAccessReport, _ []byte) error {
 			mu.Lock()
 			got[rep.ReaderID]++
 			mu.Unlock()
@@ -278,7 +278,7 @@ func TestSupervisorFaultyLink(t *testing.T) {
 	got := map[string]int{}
 	opts := append(fastOptions(),
 		WithFaults(FaultConfig{Seed: 42, DelayProb: 0.2, MaxDelay: 2 * time.Millisecond}),
-		WithHandler(func(rep *llrp.ROAccessReport) error {
+		WithHandler(func(rep *llrp.ROAccessReport, _ []byte) error {
 			mu.Lock()
 			got[rep.ReaderID]++
 			mu.Unlock()
