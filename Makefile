@@ -34,10 +34,12 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -cpu 1,4 ./internal/pipeline/ ./internal/music/ ./internal/pmusic/
 
-# The fault-tolerance gate: kill and restart a reader mid-run over real
-# TCP with injected link faults, under the race detector. Degraded
+# The fault-tolerance gate: a fleet environment dials its readers
+# through session supervisors; kill and restart a reader mid-run over
+# real TCP with injected link faults, under the race detector. Degraded
 # fixes must flow during the outage and post-recovery fixes must be
-# bit-identical to a fault-free run.
+# bit-identical to a fault-free run. The test lives in the external
+# session_test package (fleet imports session).
 chaos:
 	$(GO) test -race -run TestChaosEndToEnd ./internal/session/
 
@@ -72,10 +74,13 @@ bench-smoke:
 bench-figures:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 
-check: fmt vet build test race chaos fleet-smoke cluster-smoke
+check: fmt vet build test race chaos serve-smoke fleet-smoke cluster-smoke
 
-# Boots dwatchd -simulate with the observability plane and curls the
-# endpoints a monitoring stack would: liveness, metrics, live stats.
+# Boots dwatchd on a one-file env dir (testdata/fleet/site-a.json),
+# -simulate then -chaos, with the observability plane, and curls the
+# endpoints a monitoring stack would: liveness, metrics, live stats,
+# and /readyz following a dialed reader's outage and recovery. Part of
+# `make check`: the only binary-level gate on dialed ingest.
 serve-smoke:
 	./scripts/serve-smoke.sh
 
@@ -98,7 +103,8 @@ cluster-smoke:
 # is reproducible bit-for-bit per seed) and cached under
 # testdata/corpus/ — rm -rf it to regenerate. Feed it back with
 # `dwatchd -env-dir testdata/fleet -wal-dir testdata/corpus` (replay on
-# add) or per-env via dwatch-replay -wal-dir testdata/corpus/site-a.
+# add) or per-env via `dwatch-replay -wal-dir testdata/corpus/site-a
+# -config testdata/fleet/site-a.json`.
 CORPUS_DIR ?= testdata/corpus
 corpus:
 	@if [ -d "$(CORPUS_DIR)/site-a" ] && [ -d "$(CORPUS_DIR)/site-b" ]; then \
@@ -121,9 +127,10 @@ perf-gate: corpus
 	$(GO) run ./cmd/dwatch-perfgate
 
 # The durability gate at the binary level: record a simulated run into
-# a WAL, kill -9 dwatchd mid-stream, restart and assert recovery via
-# /api/v1/wal, then replay the WAL unthrottled twice and assert the fix
-# parity hashes agree.
+# a WAL (one-file env dir from testdata/fleet/site-a.json), kill -9
+# dwatchd mid-stream, restart and assert recovery via
+# /api/v1/site-a/wal, then replay the WAL unthrottled twice and assert
+# the fix parity hashes agree.
 replay-smoke:
 	./scripts/replay-smoke.sh
 

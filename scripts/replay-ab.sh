@@ -19,8 +19,13 @@ HTTP_ADDR="${HTTP_ADDR:-127.0.0.1:18082}"
 LLRP_ADDR="${LLRP_ADDR:-127.0.0.1:15086}"
 SHARDS="${SHARDS:-4}"
 WORK="$(mktemp -d)"
-WALDIR="$WORK/wal"
+WALROOT="$WORK/wal"
+ENV=site-a
+ENV_DIR="$WORK/envs"
+WALDIR="$WALROOT/$ENV"
 LOG="$WORK/dwatchd.log"
+mkdir -p "$ENV_DIR"
+cp "testdata/fleet/$ENV.json" "$ENV_DIR/"
 
 fetch_body() {
     if command -v curl >/dev/null 2>&1; then
@@ -41,12 +46,12 @@ go build -o "$WORK/dwatchd" ./cmd/dwatchd
 go build -o "$WORK/dwatch-replay" ./cmd/dwatch-replay
 
 echo "== recording a simulated run into $WALDIR"
-"$WORK/dwatchd" -listen "$LLRP_ADDR" -env table -simulate -rounds 200 \
-    -wal-dir "$WALDIR" -http "$HTTP_ADDR" >"$LOG" 2>&1 &
+"$WORK/dwatchd" -env-dir "$ENV_DIR" -listen "$LLRP_ADDR" -simulate -rounds 200 \
+    -wal-dir "$WALROOT" -http "$HTTP_ADDR" >"$LOG" 2>&1 &
 PID=$!
 
 i=0
-until fetch_body "http://$HTTP_ADDR/api/v1/wal" |
+until fetch_body "http://$HTTP_ADDR/api/v1/$ENV/wal" |
     grep -Eq '"appended_records": *([3-9][0-9]|[0-9]{3,})'; do
     i=$((i + 1))
     if [ "$i" -ge 200 ]; then
@@ -72,7 +77,7 @@ field() {
 
 replay() {
     # $1 = output json, $2 = eigensolver, $3 = shard count
-    "$WORK/dwatch-replay" -wal-dir "$WALDIR" -env table -json \
+    "$WORK/dwatch-replay" -wal-dir "$WALDIR" -config "$ENV_DIR/$ENV.json" -json \
         -eigensolver "$2" -asm-shards "$3" >"$1"
 }
 

@@ -2,7 +2,7 @@
 # replay-smoke: the durability gate at the binary level. Records a
 # simulated run into an ingest WAL, kills dwatchd with SIGKILL
 # mid-stream (the crash a durable log exists for), restarts it and
-# asserts the WAL recovered via /api/v1/wal, then replays the capture
+# asserts the WAL recovered via /api/v1/site-a/wal, then replays the capture
 # unthrottled twice with dwatch-replay and asserts the fix parity
 # hashes agree — the same determinism contract the in-process e2e
 # tests pin, but exercised through the real binaries and real files.
@@ -11,8 +11,13 @@ set -eu
 HTTP_ADDR="${HTTP_ADDR:-127.0.0.1:18081}"
 LLRP_ADDR="${LLRP_ADDR:-127.0.0.1:15085}"
 WORK="$(mktemp -d)"
-WALDIR="$WORK/wal"
+WALROOT="$WORK/wal"
+ENV=site-a
+ENV_DIR="$WORK/envs"
+WALDIR="$WALROOT/$ENV"
 LOG="$WORK/dwatchd.log"
+mkdir -p "$ENV_DIR"
+cp "testdata/fleet/$ENV.json" "$ENV_DIR/"
 
 fetch_body() {
     if command -v curl >/dev/null 2>&1; then
@@ -33,13 +38,13 @@ go build -o "$WORK/dwatchd" ./cmd/dwatchd
 go build -o "$WORK/dwatch-replay" ./cmd/dwatch-replay
 
 echo "== recording a simulated run into $WALDIR"
-"$WORK/dwatchd" -listen "$LLRP_ADDR" -env table -simulate -rounds 200 \
-    -wal-dir "$WALDIR" -http "$HTTP_ADDR" >"$LOG" 2>&1 &
+"$WORK/dwatchd" -env-dir "$ENV_DIR" -listen "$LLRP_ADDR" -simulate -rounds 200 \
+    -wal-dir "$WALROOT" -http "$HTTP_ADDR" >"$LOG" 2>&1 &
 PID=$!
 
 # Wait until a healthy number of reports has been appended, then crash.
 i=0
-until fetch_body "http://$HTTP_ADDR/api/v1/wal" |
+until fetch_body "http://$HTTP_ADDR/api/v1/$ENV/wal" |
     grep -Eq '"appended_records": *(1[2-9]|[2-9][0-9]|[0-9]{3,})'; do
     i=$((i + 1))
     if [ "$i" -ge 200 ]; then
@@ -66,17 +71,17 @@ fi
 echo "ok: WAL segments on disk"
 
 echo "== restarting dwatchd over the crashed WAL"
-"$WORK/dwatchd" -listen "$LLRP_ADDR" -env table \
-    -wal-dir "$WALDIR" -http "$HTTP_ADDR" >"$LOG" 2>&1 &
+"$WORK/dwatchd" -env-dir "$ENV_DIR" -listen "$LLRP_ADDR" \
+    -wal-dir "$WALROOT" -http "$HTTP_ADDR" >"$LOG" 2>&1 &
 PID=$!
 
 i=0
-until fetch_body "http://$HTTP_ADDR/api/v1/wal" |
+until fetch_body "http://$HTTP_ADDR/api/v1/$ENV/wal" |
     grep -Eq '"recovered_records": *[1-9]'; do
     i=$((i + 1))
     if [ "$i" -ge 100 ]; then
         echo "FAIL: restart never reported recovered records" >&2
-        fetch_body "http://$HTTP_ADDR/api/v1/wal" >&2
+        fetch_body "http://$HTTP_ADDR/api/v1/$ENV/wal" >&2
         cat "$LOG" >&2
         exit 1
     fi
@@ -87,7 +92,7 @@ until fetch_body "http://$HTTP_ADDR/api/v1/wal" |
     fi
     sleep 0.2
 done
-echo "ok: /api/v1/wal reports recovery"
+echo "ok: /api/v1/$ENV/wal reports recovery"
 
 kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
@@ -98,8 +103,8 @@ parity() {
 }
 
 echo "== replaying the WAL unthrottled, twice"
-"$WORK/dwatch-replay" -wal-dir "$WALDIR" -env table -json >"$WORK/run1.json"
-"$WORK/dwatch-replay" -wal-dir "$WALDIR" -env table -json >"$WORK/run2.json"
+"$WORK/dwatch-replay" -wal-dir "$WALDIR" -config "$ENV_DIR/$ENV.json" -json >"$WORK/run1.json"
+"$WORK/dwatch-replay" -wal-dir "$WALDIR" -config "$ENV_DIR/$ENV.json" -json >"$WORK/run2.json"
 
 P1="$(parity "$WORK/run1.json")"
 P2="$(parity "$WORK/run2.json")"

@@ -1,8 +1,11 @@
 #!/bin/sh
 # serve-smoke: boot dwatchd -simulate with the observability plane and
-# verify the endpoints a monitoring stack scrapes. Exercises the real
-# binary over real TCP — the curl-level counterpart to the httptest
-# coverage in internal/serve.
+# verify the endpoints a monitoring stack scrapes, then boot dwatchd
+# -chaos and watch /readyz follow a dialed reader's outage and
+# recovery. Exercises the real binary over real TCP — the curl-level
+# counterpart to the httptest coverage in internal/serve, and the only
+# binary-level gate on dialed (supervised) ingest. Both runs serve a
+# one-file env dir made from testdata/fleet/site-a.json.
 set -eu
 
 HTTP_ADDR="${HTTP_ADDR:-127.0.0.1:18080}"
@@ -10,6 +13,10 @@ LLRP_ADDR="${LLRP_ADDR:-127.0.0.1:15084}"
 BIN_DIR="$(mktemp -d)"
 BIN="$BIN_DIR/dwatchd"
 LOG="$(mktemp)"
+ENV_DIR="$BIN_DIR/envs"
+ENV=site-a
+mkdir -p "$ENV_DIR"
+cp "testdata/fleet/$ENV.json" "$ENV_DIR/"
 
 # The JSON assertions below go through the typed dwatch-api CLI, which
 # strict-decodes every body into the internal/api contract structs —
@@ -48,8 +55,8 @@ echo "== building dwatchd and dwatch-api"
 go build -o "$BIN" ./cmd/dwatchd
 go build -o "$BIN_DIR/dwatch-api" ./cmd/dwatch-api
 
-echo "== starting dwatchd -simulate -http $HTTP_ADDR"
-"$BIN" -listen "$LLRP_ADDR" -env table -simulate -rounds 200 -http "$HTTP_ADDR" >"$LOG" 2>&1 &
+echo "== starting dwatchd -env-dir $ENV_DIR -simulate -http $HTTP_ADDR"
+"$BIN" -env-dir "$ENV_DIR" -listen "$LLRP_ADDR" -simulate -rounds 200 -http "$HTTP_ADDR" >"$LOG" 2>&1 &
 PID=$!
 
 # Wait for the plane to come up.
@@ -83,22 +90,21 @@ for want in \
 done
 echo "ok: /metrics"
 
-# Stats must strict-decode as the api.PipelineStats contract (the
-# single-deployment server registers itself as the one-env fleet
-# "table", so the env-scoped route serves it).
-STATS="$(api stats table)"
+# Stats must strict-decode as the api.PipelineStats contract on the
+# env-scoped route.
+STATS="$(api stats "$ENV")"
 if ! printf '%s\n' "$STATS" | grep -q '"ReportsIn"'; then
     echo "FAIL: stats lack ReportsIn: $STATS" >&2
     exit 1
 fi
-echo "ok: /api/v1/table/stats (strict api.PipelineStats)"
+echo "ok: /api/v1/$ENV/stats (strict api.PipelineStats)"
 
 # A served position must carry a trace_id (schema 3) that resolves to
 # a full per-sequence trace with a fuse-stage span.
 i=0
 TID=""
 while [ -z "$TID" ]; do
-    TID="$(api positions table 2>/dev/null |
+    TID="$(api positions "$ENV" 2>/dev/null |
         tr ',' '\n' | grep '"trace_id"' | head -n 1 |
         sed 's/.*"trace_id": *"\([^"]*\)".*/\1/')" || true
     [ -n "$TID" ] && break
@@ -110,24 +116,24 @@ while [ -z "$TID" ]; do
     fi
     sleep 0.1
 done
-TRACE="$(api trace table "$TID")"
+TRACE="$(api trace "$ENV" "$TID")"
 for want in '"outcome": "fix"' '"stage": "fuse"' '"stage": "spectrum"'; do
     if ! printf '%s\n' "$TRACE" | grep -Fq "$want"; then
         echo "FAIL: trace $TID missing $want: $TRACE" >&2
         exit 1
     fi
 done
-echo "ok: /api/v1/table/traces/{id} (strict api.Trace)"
+echo "ok: /api/v1/$ENV/traces/{id} (strict api.Trace)"
 
 # RF health must report live read rates per reader.
-HEALTH="$(api health table)"
+HEALTH="$(api health "$ENV")"
 for want in '"readers"' '"rate_hz"' '"angle_deg"'; do
     if ! printf '%s\n' "$HEALTH" | grep -Fq "$want"; then
         echo "FAIL: health missing $want: $HEALTH" >&2
         exit 1
     fi
 done
-echo "ok: /api/v1/table/health (strict api.RFHealth)"
+echo "ok: /api/v1/$ENV/health (strict api.RFHealth)"
 
 # Readiness flips once the simulated readers confirm their baselines.
 i=0
@@ -146,11 +152,12 @@ kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 PID=
 
-# Phase 2: supervised chaos mode. dwatchd dials in-process simulated
-# readers, kills one mid-run, and restarts it; /readyz must report the
-# outage (a reader down, fusion degraded) and then the recovery.
-echo "== starting dwatchd -chaos -http $HTTP_ADDR"
-"$BIN" -env hall -chaos -chaos-flap 3s -rounds 40 -http "$HTTP_ADDR" >"$LOG" 2>&1 &
+# Phase 2: chaos driver. dwatchd dials in-process simulated readers
+# through its environment's supervisor, kills one mid-run, and restarts
+# it; /readyz must report the outage (a reader down, fusion degraded)
+# and then the recovery.
+echo "== starting dwatchd -env-dir $ENV_DIR -chaos -http $HTTP_ADDR"
+"$BIN" -env-dir "$ENV_DIR" -chaos -chaos-flap 3s -rounds 40 -http "$HTTP_ADDR" >"$LOG" 2>&1 &
 PID=$!
 
 i=0
