@@ -20,10 +20,10 @@ import (
 // decoupled from the pipeline: it sees an env listing hook and a
 // lookup hook returning per-env handles, nothing more.
 //
-// The legacy single-deployment routes (/api/v1/positions, /stats, ...)
-// remain mounted and serve the aggregate (all environments' positions,
-// the process-wide stats hook), so a one-env fleet is indistinguishable
-// from the pre-fleet daemon.
+// The root routes serve aggregates: /api/v1/positions the latest fix
+// of every environment, /api/v1/stats one snapshot per environment.
+// /api/v1/traces and /api/v1/health serve a process-wide tracer and
+// monitor when one is set (dwatch-replay -http).
 
 // EnvHandle bundles one environment's per-deployment hooks for the
 // env-scoped routes. Absent fields degrade exactly like the
