@@ -29,10 +29,12 @@ test:
 # (one shard per GOMAXPROCS) takes its single- and multi-shard paths
 # even on a small CI runner. The music and pmusic packages ride along
 # because every worker's workspace reads the one shared steering
-# table.
+# table; obs, wal and fleet because pipelines, WALs and envs attach
+# their metric values to a shared registry and release them while
+# scrapes run.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -cpu 1,4 ./internal/pipeline/ ./internal/music/ ./internal/pmusic/
+	$(GO) test -race -short -cpu 1,4 ./internal/pipeline/ ./internal/music/ ./internal/pmusic/ ./internal/obs/ ./internal/wal/ ./internal/fleet/
 
 # The fault-tolerance gate: a fleet environment dials its readers
 # through session supervisors; kill and restart a reader mid-run over

@@ -15,7 +15,9 @@
 //	         (never means) because first-run noise on shared boxes is
 //	         wild; the best of N repeats is the stable estimator.
 //	tier 3 — informational: wall time and reports/s are printed for
-//	         trend-eyeballing, never gated.
+//	         trend-eyeballing, never gated, and so is the ratio of
+//	         max-of-N spectra/s with the observability stack attached
+//	         to the bare max-of-N (budget: 0.90).
 //
 // Usage:
 //
@@ -37,8 +39,11 @@ import (
 	"sort"
 
 	"dwatch/internal/fleet"
+	"dwatch/internal/health"
+	"dwatch/internal/obs"
 	"dwatch/internal/pipeline"
 	"dwatch/internal/replay"
+	"dwatch/internal/tracing"
 )
 
 // EnvResult is one environment's best-of-N measurement (and the shape
@@ -90,7 +95,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	current, err := measure(*corpus, *fleetDir, *repeats)
+	current, instrumented, err := measure(*corpus, *fleetDir, *repeats)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwatch-perfgate:", err)
 		os.Exit(2)
@@ -129,6 +134,10 @@ func main() {
 		fmt.Printf("%-8s  %8.0f spectra/s  p50 %.3gs  p99 %.3gs  (%d fixes, wall %.2fs)\n",
 			r.key, r.val.SpectraPerSec, r.val.ComputeP50, r.val.ComputeP99, r.val.Fixes, r.val.WallSeconds)
 	}
+	for _, r := range sorted(current) {
+		fmt.Printf("%-8s  instrumented/bare %.3f spectra/s (%.0f vs %.0f; tier 3, not gated)\n",
+			r.key, instrumented[r.key]/r.val.SpectraPerSec, instrumented[r.key], r.val.SpectraPerSec)
+	}
 	for _, w := range warnings {
 		fmt.Println("WARN:", w)
 	}
@@ -143,28 +152,37 @@ func main() {
 }
 
 // measure replays every corpus environment repeats times and keeps the
-// best-of-N digest per environment.
-func measure(corpus, fleetDir string, repeats int) (map[string]EnvResult, error) {
+// best-of-N digest per environment, and the max-of-N spectra/s of an
+// instrumented replay interleaved with each repeat.
+func measure(corpus, fleetDir string, repeats int) (map[string]EnvResult, map[string]float64, error) {
 	catalog, ids, err := fleet.ReadConfigDir(fleetDir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := map[string]EnvResult{}
+	instrumented := map[string]float64{}
 	for _, env := range ids {
 		dir := filepath.Join(corpus, env)
 		if _, err := os.Stat(dir); err != nil {
-			return nil, fmt.Errorf("corpus env %s missing at %s (run `make corpus`)", env, dir)
+			return nil, nil, fmt.Errorf("corpus env %s missing at %s (run `make corpus`)", env, dir)
 		}
 		_, dep, err := fleet.Deployment(env, catalog[env])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var best EnvResult
 		for i := 0; i < repeats; i++ {
 			sum, err := runOnce(dir, dep)
 			if err != nil {
-				return nil, fmt.Errorf("env %s repeat %d: %w", env, i, err)
+				return nil, nil, fmt.Errorf("env %s repeat %d: %w", env, i, err)
 			}
+			reg := obs.NewRegistry()
+			isum, err := runOnce(dir, dep, pipeline.WithObs(reg),
+				pipeline.WithTracer(tracing.New()), pipeline.WithHealth(health.New(reg, health.Options{})))
+			if err != nil {
+				return nil, nil, fmt.Errorf("env %s instrumented repeat %d: %w", env, i, err)
+			}
+			instrumented[env] = max(instrumented[env], isum.SpectraPerSec)
 			r := EnvResult{
 				FixParity:     sum.FixParity,
 				Fixes:         sum.Fixes,
@@ -182,25 +200,25 @@ func measure(corpus, fleetDir string, repeats int) (map[string]EnvResult, error)
 				continue
 			}
 			if r.FixParity != best.FixParity || r.Fixes != best.Fixes {
-				return nil, fmt.Errorf("env %s: repeat %d diverged from repeat 0 (parity %s vs %s, fixes %d vs %d) — the replay is not deterministic",
+				return nil, nil, fmt.Errorf("env %s: repeat %d diverged from repeat 0 (parity %s vs %s, fixes %d vs %d) — the replay is not deterministic",
 					env, i, r.FixParity, best.FixParity, r.Fixes, best.Fixes)
 			}
 			best = bestOf(best, r)
 		}
 		out[env] = best
 	}
-	return out, nil
+	return out, instrumented, nil
 }
 
 // runOnce replays one environment's WAL unthrottled through a fresh
-// pipeline.
-func runOnce(dir string, dep pipeline.Deployment) (*replay.Summary, error) {
+// pipeline built with opts.
+func runOnce(dir string, dep pipeline.Deployment, opts ...pipeline.Option) (*replay.Summary, error) {
 	src, err := replay.OpenWAL(dir)
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	sum, err := replay.Run(src, dep, replay.Options{})
+	sum, err := replay.Run(src, dep, replay.Options{Pipeline: opts})
 	if err != nil {
 		return nil, err
 	}

@@ -125,15 +125,13 @@ type Env struct {
 	slot  int
 	added time.Time
 
-	fixes   atomic.Uint64
-	reports atomic.Uint64
+	// fixes and reports back the env's dwatch_fleet_*_total children;
+	// own holds them and the env's gauge funcs for teardown to release.
+	fixes, reports obs.Counter
+	own            obs.Owner
 	// slo accounts ingest→fix latency against the deployment's declared
 	// objective (nil when the config has no "slo" block).
 	slo *obs.SLOTracker
-	// reportCtr is the env's dwatch_fleet_reports_total child, resolved
-	// once at Add time: resolving by label in Ingest would resurrect
-	// the series after Remove drops it.
-	reportCtr *obs.Counter
 	// nextSeq offsets generated acquisition sequences across Simulate
 	// runs, so a later run's rounds are new sequences to the assembler
 	// instead of late duplicates of already-fused ones.
@@ -157,7 +155,7 @@ func (e *Env) Pipeline() *pipeline.Pipeline { return e.pipe }
 func (e *Env) Slot() int { return e.slot }
 
 // Fixes returns how many fixes this environment has published.
-func (e *Env) Fixes() uint64 { return e.fixes.Load() }
+func (e *Env) Fixes() uint64 { return e.fixes.Value() }
 
 // Fleet is the environment registry. All methods are safe for
 // concurrent use.
@@ -275,10 +273,20 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 			Objective: cfg.SLO.Objective,
 		})
 	}
+	// abandon releases what the env holds on the registry (and its WAL)
+	// when Add fails before the pipeline runs.
+	abandon := func() {
+		e.slo.Close()
+		e.health.Release()
+		if e.wal != nil {
+			e.wal.Close()
+		}
+	}
 	if f.o.walRoot != "" {
 		w, err := wal.Open(filepath.Join(f.o.walRoot, id),
 			append([]wal.Option{wal.WithLogger(f.o.logger), wal.WithObs(f.o.reg)}, f.o.walOpts...)...)
 		if err != nil {
+			abandon()
 			return nil, fmt.Errorf("fleet: wal %s: %w", id, err)
 		}
 		e.wal = w
@@ -304,9 +312,7 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 			}),
 		)...)
 		if err != nil {
-			if e.wal != nil {
-				e.wal.Close()
-			}
+			abandon()
 			return nil, fmt.Errorf("fleet: dial %s: %w", id, err)
 		}
 		pipeOpts = append(pipeOpts, pipeline.WithLiveReaders(e.sup.Live))
@@ -317,21 +323,19 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 	pipeOpts = append(pipeOpts, popts...)
 	p, err := pipeline.New(dep, pipeOpts...)
 	if err != nil {
-		if e.wal != nil {
-			e.wal.Close()
-		}
+		abandon()
 		return nil, fmt.Errorf("fleet: pipeline %s: %w", id, err)
 	}
 	e.pipe = p
 
-	e.reportCtr = f.reportsVec.With(id)
-	hub, fixCtr := f.o.hub, f.fixesVec.With(id)
+	f.fixesVec.Attach(&e.own, &e.fixes, id)
+	f.reportsVec.Attach(&e.own, &e.reports, id)
+	hub := f.o.hub
 	p.SubscribeFixes(func(fix pipeline.Fix) {
 		if fix.Err != nil {
 			return
 		}
-		e.fixes.Add(1)
-		fixCtr.Add(1)
+		e.fixes.Inc()
 		if e.slo != nil && fix.TraceID != "" {
 			// The trace's start is the sequence's first ingest — the
 			// latency the deployment's SLO is declared over.
@@ -375,22 +379,8 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 		}
 	}
 
-	// Collection-time gauges. obs gauge funcs are additive and cannot
-	// be unregistered, so the closure reports zero once this *Env is no
-	// longer the registered owner of the label (Remove, then re-Add,
-	// would otherwise double-count).
-	f.queueVec.Func(func() float64 {
-		if f.lookup(id) != e {
-			return 0
-		}
-		return float64(p.Stats().QueueDepth)
-	}, id)
-	f.pendingVec.Func(func() float64 {
-		if f.lookup(id) != e {
-			return 0
-		}
-		return float64(p.Stats().PendingSequences)
-	}, id)
+	f.queueVec.Attach(&e.own, func() float64 { return float64(p.Stats().QueueDepth) }, id)
+	f.pendingVec.Attach(&e.own, func() float64 { return float64(p.Stats().PendingSequences) }, id)
 
 	if e.sup != nil {
 		e.sup.Start()
@@ -446,8 +436,7 @@ func (e *Env) ingest(rep *llrp.ROAccessReport, payload []byte) error {
 	if err := e.pipe.Ingest(rep); err != nil {
 		return fmt.Errorf("fleet: %s: %w", e.id, err)
 	}
-	e.reports.Add(1)
-	e.reportCtr.Add(1)
+	e.reports.Inc()
 	return nil
 }
 
@@ -574,9 +563,7 @@ func (f *Fleet) Remove(id string) error {
 		f.envsGauge.Set(float64(len(f.envs)))
 		// Per-env series die with the environment, inside the lock so
 		// a concurrent re-Add starts fresh children (and fresh gauge
-		// closures) instead of inheriting stale ones. The ownership
-		// guards on the queue/pending closures keep the old closures
-		// silent in the window before the old children are dropped.
+		// closures) instead of inheriting stale ones.
 		f.fixesVec.Remove(id)
 		f.reportsVec.Remove(id)
 		f.queueVec.Remove(id)
@@ -592,7 +579,11 @@ func (f *Fleet) Remove(id string) error {
 	return nil
 }
 
-// teardownEnv stops the environment's machinery outside the fleet lock.
+// teardownEnv stops the environment's machinery outside the fleet
+// lock. The pipeline's drain and the WAL's close release their metric
+// values from the shared registry; the env's own values and the health
+// monitor's are released once the drain has counted its last fix, so
+// nothing the registry sums keeps pointing at a removed environment.
 func (f *Fleet) teardownEnv(e *Env) {
 	e.slo.Close() // idempotent; covers Add-failure paths that skip Remove
 	close(e.stop)
@@ -601,6 +592,8 @@ func (f *Fleet) teardownEnv(e *Env) {
 	}
 	e.pipe.Drain()
 	e.fixWG.Wait()
+	e.own.Release()
+	e.health.Release()
 	if e.wal != nil {
 		e.wal.Close()
 	}
@@ -892,7 +885,7 @@ func (e *Env) info() serve.EnvInfo {
 	return serve.EnvInfo{
 		ID: e.id, Name: name, Slot: e.slot,
 		Readers: len(e.scenario.Readers), Tags: e.scenario.Cfg.Tags,
-		Fixes: e.fixes.Load(), Reports: e.reports.Load(),
+		Fixes: e.fixes.Value(), Reports: e.reports.Value(),
 		Added: e.added,
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"dwatch/internal/obs"
 	"dwatch/internal/pipeline"
@@ -363,4 +365,67 @@ func TestRemoveDropsEnvMetricSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertNoEnvSeries(scrape(), "room-a")
+}
+
+// TestRemoveReleasesEnv: Add/Simulate/Remove three times over one WAL
+// root. The unlabeled WAL gauges a shared registry sums must read the
+// live WAL alone, and once the env is removed (or, for a fourth one,
+// the fleet closed) nothing the registry holds may keep its pipeline
+// reachable.
+func TestRemoveReleasesEnv(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := New(WithObs(reg), WithWALRoot(t.TempDir()))
+	defer f.Close()
+
+	var removed weak.Pointer[pipeline.Pipeline]
+	cycle := func() {
+		e, err := f.Add("room-a", tableCfg(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := e.Fixes()
+		if err := f.Simulate(context.Background(), "room-a", 1, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "room-a fix", func() bool { return e.Fixes() > before })
+		st := e.wal.Status()
+		s := reg.Snapshot()
+		if s["dwatch_wal_segments"] != float64(st.Segments) || s["dwatch_wal_bytes"] != float64(st.Bytes) {
+			t.Errorf("wal gauges read %v segments, %v bytes; the open WAL has %d, %d",
+				s["dwatch_wal_segments"], s["dwatch_wal_bytes"], st.Segments, st.Bytes)
+		}
+		removed = weak.Make(e.Pipeline())
+		if err := f.Remove("room-a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+
+	s := reg.Snapshot()
+	for _, id := range []string{"dwatch_wal_segments", "dwatch_wal_bytes", "dwatch_rf_tags_tracked",
+		"dwatch_pipeline_queue_depth", "dwatch_pipeline_pending_sequences"} {
+		if s[id] != 0 {
+			t.Errorf("%s = %v with no environment left, want 0", id, s[id])
+		}
+	}
+	unreachable := func(what string) {
+		t.Helper()
+		for i := 0; i < 5 && removed.Value() != nil; i++ {
+			runtime.GC()
+		}
+		if removed.Value() != nil {
+			t.Fatalf("%s environment's pipeline is still reachable", what)
+		}
+	}
+	unreachable("removed")
+
+	e, err := f.Add("room-a", tableCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed = weak.Make(e.Pipeline())
+	f.Close()
+	unreachable("closed fleet's")
 }

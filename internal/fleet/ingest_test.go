@@ -303,13 +303,13 @@ func TestHandleLLRP(t *testing.T) {
 	if _, err := handle(report("room-b/reader-1")); err != nil {
 		t.Fatalf("report for an unknown env = %v, want nil (logged)", err)
 	}
-	if n := e.reports.Load(); n != 0 {
+	if n := e.reports.Value(); n != 0 {
 		t.Fatalf("unknown-env report counted on room-a: %d", n)
 	}
 	if _, err := handle(report(rd.ID)); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.reports.Load(); n != 1 {
+	if n := e.reports.Value(); n != 1 {
 		t.Fatalf("room-a reports = %d, want 1", n)
 	}
 }

@@ -131,8 +131,8 @@ type tagState struct {
 
 // readerState groups a reader's tags and its calibration residual.
 type readerState struct {
-	tags     map[string]*tagState
-	residual float64 // EWMA |angle deviation|, radians
+	tags     map[string]*tagState // by raw EPC
+	residual float64              // EWMA |angle deviation|, radians
 	resSet   bool
 
 	residualG *obs.Gauge
@@ -154,6 +154,7 @@ type Monitor struct {
 	driftVec  *obs.GaugeVec
 	anomalies *obs.CounterVec
 	resVec    *obs.GaugeVec
+	own       obs.Owner // the tags-tracked gauge func
 }
 
 // New builds a Monitor. reg may be nil (no metric export; snapshots
@@ -172,9 +173,18 @@ func New(reg *obs.Registry, opts Options) *Monitor {
 		m.driftVec = reg.GaugeVec(metricDrift, "1 when a path's power has drifted beyond the ratio threshold.", "reader", "epc", "path")
 		m.anomalies = reg.CounterVec(metricAnomalies, "RF anomalies by kind (power_drift, new_path).", "reader", "kind")
 		m.resVec = reg.GaugeVec(metricResidual, "EWMA absolute peak-angle deviation from tracked paths.", "reader")
-		reg.GaugeFunc(metricTags, "Distinct (reader, tag) pairs tracked.", m.tagCount)
+		reg.GaugeVec(metricTags, "Distinct (reader, tag) pairs tracked.").Attach(&m.own, m.tagCount)
 	}
 	return m
+}
+
+// Release drops the monitor from the registry's tags-tracked sum at
+// teardown. Nil-safe and idempotent.
+func (m *Monitor) Release() {
+	if m == nil {
+		return
+	}
+	m.own.Release()
 }
 
 func (m *Monitor) tagCount() float64 {
@@ -210,15 +220,14 @@ func (m *Monitor) Observe(reader, epc string, sp *pmusic.Spectrum, now time.Time
 		}
 		m.readers[reader] = rs
 	}
-	key := EPCKey(epc)
-	ts := rs.tags[key]
+	ts := rs.tags[epc]
 	if ts == nil {
-		ts = &tagState{epc: key}
+		ts = &tagState{epc: EPCKey(epc)}
 		if m.reg != nil {
-			ts.readsC = m.reads.With(reader, key)
-			ts.rateG = m.rateVec.With(reader, key)
+			ts.readsC = m.reads.With(reader, ts.epc)
+			ts.rateG = m.rateVec.With(reader, ts.epc)
 		}
-		rs.tags[key] = ts
+		rs.tags[epc] = ts
 	}
 
 	// Read accounting: count, then fold the inter-read interval into

@@ -49,7 +49,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case KindCounter:
 				writeSample(bw, f.name, f.labels, ch.values, "", "", strconv.FormatUint(ch.c.Value(), 10))
 			case KindGauge:
-				writeSample(bw, f.name, f.labels, ch.values, "", "", formatFloat(ch.gaugeValue()))
+				writeSample(bw, f.name, f.labels, ch.values, "", "", formatFloat(ch.g.Value()))
 			case KindHistogram:
 				b := ch.h.Buckets()
 				var cum uint64

@@ -18,6 +18,9 @@
 //     allocation). Labeled children can be resolved once up front and
 //     cached by the caller, so steady-state increments never touch the
 //     registry lock.
+//   - One value per event: a subsystem attaches the counters and
+//     histograms it keeps anyway to family children instead of
+//     mirroring them, and releases them through an Owner at teardown.
 //
 // Metric and label names follow the Prometheus conventions
 // ([a-zA-Z_:][a-zA-Z0-9_:]* and [a-zA-Z_][a-zA-Z0-9_]*); violations
@@ -27,6 +30,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,9 +63,11 @@ func (k Kind) String() string {
 }
 
 // Counter is a monotonically increasing uint64. The zero value is
-// usable; a nil *Counter is a no-op.
+// usable; a nil *Counter is a no-op. One the registry returned reads
+// its child's total, attached sources included.
 type Counter struct {
-	n atomic.Uint64
+	n  atomic.Uint64
+	ch *child
 }
 
 // Inc adds one.
@@ -80,13 +86,18 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
+	if c.ch != nil {
+		return c.ch.counterValue()
+	}
 	return c.n.Load()
 }
 
 // Gauge is a float64 that may go up and down. The zero value is
-// usable; a nil *Gauge is a no-op.
+// usable; a nil *Gauge is a no-op. One the registry returned reads its
+// stored value plus every attached gauge func.
 type Gauge struct {
 	bits atomic.Uint64
+	ch   *child
 }
 
 // Set stores v.
@@ -116,14 +127,25 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
+	if g.ch != nil {
+		return g.ch.gaugeValue()
+	}
 	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram is a fixed-bucket histogram (a thin wrapper over
-// stats.Histogram so the pipeline's latency digests and the exposition
-// writer share one implementation). A nil *Histogram is a no-op.
+// stats.Histogram so a subsystem's latency digests and the exposition
+// writer share one implementation). A nil *Histogram is a no-op. One
+// the registry returned reads its samples merged with its child's
+// attached sources.
 type Histogram struct {
-	h *stats.Histogram
+	h  *stats.Histogram
+	ch *child
+}
+
+// NewHistogram creates a histogram for a subsystem to own (and attach).
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{h: stats.NewHistogram(bounds)}
 }
 
 // Observe records one sample.
@@ -142,7 +164,7 @@ func (h *Histogram) Summary() stats.HistogramSummary {
 	if h == nil {
 		return stats.HistogramSummary{}
 	}
-	return h.h.Summary()
+	return h.read().Summary()
 }
 
 // Buckets exports the raw bucket state (empty on a nil receiver).
@@ -150,50 +172,128 @@ func (h *Histogram) Buckets() stats.Buckets {
 	if h == nil {
 		return stats.Buckets{}
 	}
-	return h.h.Buckets()
+	return h.read().Buckets()
 }
 
-// gfnList is the set of collection-time value funcs attached to one
-// gauge child. Held behind an atomic pointer so registration (rare)
-// never races collection (frequent) without a per-sample lock.
-type gfnList []func() float64
+func (h *Histogram) read() *stats.Histogram {
+	if h.ch != nil {
+		return h.ch.histogram()
+	}
+	return h.h
+}
 
-// child is one (label values → metric) instance inside a family.
+// child is one (label values → metric) instance inside a family: its
+// own metric plus the sources subsystems attached.
 type child struct {
 	values []string
 	c      *Counter
 	g      *Gauge
-	gfns   atomic.Pointer[gfnList]
 	h      *Histogram
+
+	// mu guards srcs; a release folds and detaches under it, so reads
+	// never see a total drop or double.
+	mu   sync.Mutex
+	srcs []source
 }
 
-// addGaugeFunc attaches fn to the child's collection-time funcs.
-func (ch *child) addGaugeFunc(fn func() float64) {
-	for {
-		old := ch.gfns.Load()
-		var next gfnList
-		if old != nil {
-			next = append(next, *old...)
-		}
-		next = append(next, fn)
-		if ch.gfns.CompareAndSwap(old, &next) {
-			return
-		}
+// source is one attached value: exactly one of c, h, fn is set.
+type source struct {
+	owner *Owner
+	c     *Counter
+	h     *Histogram
+	fn    func() float64
+}
+
+func (ch *child) counterValue() uint64 {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	n := ch.c.n.Load()
+	for _, s := range ch.srcs {
+		n += s.c.n.Load()
 	}
+	return n
 }
 
-// gaugeValue reads the child's current value: the sum of every
-// attached gauge func, or the stored gauge when none are attached.
+// gaugeValue calls the funcs outside the lock: they are caller code,
+// and a release drops them without folding anything.
 func (ch *child) gaugeValue() float64 {
-	fns := ch.gfns.Load()
-	if fns == nil || len(*fns) == 0 {
-		return ch.g.Value()
-	}
-	var v float64
-	for _, fn := range *fns {
-		v += fn()
+	ch.mu.Lock()
+	srcs := slices.Clone(ch.srcs)
+	ch.mu.Unlock()
+	v := math.Float64frombits(ch.g.bits.Load())
+	for _, s := range srcs {
+		v += s.fn()
 	}
 	return v
+}
+
+func (ch *child) histogram() *stats.Histogram {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if len(ch.srcs) == 0 {
+		return ch.h.h
+	}
+	m := stats.NewHistogram(ch.h.h.Buckets().Bounds)
+	m.Merge(ch.h.h)
+	for _, s := range ch.srcs {
+		m.Merge(s.h.h)
+	}
+	return m
+}
+
+func (ch *child) release(o *Owner) {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	kept := ch.srcs[:0]
+	for _, s := range ch.srcs {
+		switch {
+		case s.owner != o:
+			kept = append(kept, s)
+		case s.c != nil:
+			ch.c.n.Add(s.c.n.Load())
+		case s.h != nil:
+			ch.h.h.Merge(s.h.h)
+		}
+	}
+	clear(ch.srcs[len(kept):]) // unpin the released subsystem
+	ch.srcs = kept
+}
+
+// Owner is what one subsystem attached, released in one call at its
+// teardown. The zero value is ready to use; a source attached with a
+// nil *Owner lives as long as its child.
+type Owner struct {
+	mu       sync.Mutex
+	children []*child
+}
+
+func (o *Owner) attach(ch *child, s source) {
+	s.owner = o
+	ch.mu.Lock()
+	ch.srcs = append(ch.srcs, s)
+	ch.mu.Unlock()
+	if o != nil {
+		o.mu.Lock()
+		o.children = append(o.children, ch)
+		o.mu.Unlock()
+	}
+}
+
+// Release detaches every source o attached, folding each counter and
+// histogram into its child's own value in the same locked step (gauge
+// funcs are dropped), so no read sees a total drop or double. Counts
+// made after Release stay in the subsystem. Nil-safe and idempotent.
+func (o *Owner) Release() {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	children := o.children
+	o.children = nil
+	o.mu.Unlock()
+	for _, ch := range children {
+		ch.release(o)
+	}
 }
 
 // family is one named metric family: a kind, a help string, a label
@@ -301,11 +401,11 @@ func (f *family) childFor(values []string) *child {
 		ch = &child{values: append([]string(nil), values...)}
 		switch f.kind {
 		case KindCounter:
-			ch.c = &Counter{}
+			ch.c = &Counter{ch: ch}
 		case KindGauge:
-			ch.g = &Gauge{}
+			ch.g = &Gauge{ch: ch}
 		case KindHistogram:
-			ch.h = &Histogram{h: stats.NewHistogram(f.bounds)}
+			ch.h = &Histogram{h: stats.NewHistogram(f.bounds), ch: ch}
 		}
 		f.children[key] = ch
 		f.order = append(f.order, key)
@@ -315,7 +415,7 @@ func (f *family) childFor(values []string) *child {
 
 // remove drops the child for the given label values; the series
 // disappears from collection and a later childFor for the same values
-// starts a fresh child (zeroed counters, no attached gauge funcs).
+// starts a fresh child (zeroed counters, no attached sources).
 // Removing an absent child is a no-op.
 func (f *family) remove(values []string) {
 	if f == nil {
@@ -357,19 +457,11 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.childFor(nil).g
 }
 
-// GaugeFunc registers a gauge whose value is computed by fn at
-// collection time — the right shape for instantaneous readings like
-// queue depth that already have an owner. Registering the same name
-// again *adds* another func: collection reports the sum, so N
-// identical subsystems sharing one registry (a fleet of per-env
-// pipelines, say) expose a meaningful aggregate instead of whichever
-// registration happened last.
+// GaugeFunc attaches fn to an unlabeled gauge for the life of the
+// registry (GaugeVec.Attach with no owner); collection reports the sum
+// of every func registered under the name.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, KindGauge, nil, nil)
-	if f == nil {
-		return
-	}
-	f.childFor(nil).addGaugeFunc(fn)
+	r.GaugeVec(name, help).Attach(nil, fn)
 }
 
 // Histogram registers (idempotently) an unlabeled histogram with the
@@ -404,6 +496,16 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.childFor(values).c
 }
 
+// Attach adds c, a counter the caller owns and counts into, to the
+// child for the given label values: registry reads add c's count, and
+// o.Release folds it into the child.
+func (v *CounterVec) Attach(o *Owner, c *Counter, values ...string) {
+	if v == nil {
+		return
+	}
+	o.attach(v.f.childFor(values), source{c: c})
+}
+
 // Remove deletes the child counter for the given label values, ending
 // the series. Callers holding the old *Counter keep a working but
 // uncollected counter; With after Remove starts from zero.
@@ -434,14 +536,16 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.childFor(values).g
 }
 
-// Func attaches a collection-time value func to the child for the
-// given label values — GaugeFunc with label dimensions. Like
-// GaugeFunc, repeated attachment to one child sums at collection.
-func (v *GaugeVec) Func(fn func() float64, values ...string) {
+// Attach adds fn, evaluated at collection time, to the child for the
+// given label values — the shape for readings like queue depth that
+// have an owner. Reads sum the stored value and every func, so N
+// subsystems sharing one registry expose their total; o.Release drops
+// fn.
+func (v *GaugeVec) Attach(o *Owner, fn func() float64, values ...string) {
 	if v == nil {
 		return
 	}
-	v.f.childFor(values).addGaugeFunc(fn)
+	o.attach(v.f.childFor(values), source{fn: fn})
 }
 
 // Remove deletes the child gauge for the given label values, ending
@@ -471,6 +575,20 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 		return nil
 	}
 	return v.f.childFor(values).h
+}
+
+// Attach adds h, a histogram the caller owns, to the child for the
+// given label values: registry reads merge h's samples, and o.Release
+// folds them into the child. Other bucket bounds than the family's
+// panic, like the other schema errors.
+func (v *HistogramVec) Attach(o *Owner, h *Histogram, values ...string) {
+	if v == nil {
+		return
+	}
+	if !slices.Equal(h.h.Buckets().Bounds, v.f.bounds) {
+		panic(fmt.Sprintf("obs: histogram attached to %q has different bucket bounds", v.f.name))
+	}
+	o.attach(v.f.childFor(values), source{h: h})
 }
 
 // Remove deletes the child histogram for the given label values,
@@ -511,7 +629,7 @@ func (r *Registry) Snapshot() Snapshot {
 			case KindCounter:
 				s[id] = float64(ch.c.Value())
 			case KindGauge:
-				s[id] = ch.gaugeValue()
+				s[id] = ch.g.Value()
 			case KindHistogram:
 				b := ch.h.Buckets()
 				s[metricID(f.name+"_count", f.labels, ch.values)] = float64(b.Count)

@@ -193,7 +193,7 @@ func TestVecRemove(t *testing.T) {
 
 	cv.With("a").Add(5)
 	cv.With("b").Add(7)
-	gv.Func(func() float64 { return 42 }, "a")
+	gv.Attach(nil, func() float64 { return 42 }, "a")
 	hv.With("a").Observe(0.005)
 
 	cv.Remove("a")

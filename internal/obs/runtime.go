@@ -30,12 +30,12 @@ func RegisterRuntime(r *Registry) {
 		runtimeValue("/gc/cycles/total:gc-cycles"))
 	quant := r.GaugeVec("dwatch_go_gc_pause_seconds",
 		"Distribution of stop-the-world GC pause latencies.", "quantile")
-	quant.Func(runtimeQuantile("/sched/pauses/total/gc:seconds", 0.5), "0.5")
-	quant.Func(runtimeQuantile("/sched/pauses/total/gc:seconds", 0.99), "0.99")
+	quant.Attach(nil, runtimeQuantile("/sched/pauses/total/gc:seconds", 0.5), "0.5")
+	quant.Attach(nil, runtimeQuantile("/sched/pauses/total/gc:seconds", 0.99), "0.99")
 	sched := r.GaugeVec("dwatch_go_sched_latency_seconds",
 		"Distribution of goroutine scheduling latencies.", "quantile")
-	sched.Func(runtimeQuantile("/sched/latencies:seconds", 0.5), "0.5")
-	sched.Func(runtimeQuantile("/sched/latencies:seconds", 0.99), "0.99")
+	sched.Attach(nil, runtimeQuantile("/sched/latencies:seconds", 0.5), "0.5")
+	sched.Attach(nil, runtimeQuantile("/sched/latencies:seconds", 0.99), "0.99")
 }
 
 // runtimeValue reads one scalar runtime/metrics sample at collection

@@ -107,8 +107,8 @@ func NewSLOTracker(r *Registry, env string, o SLOOptions) *SLOTracker {
 		burn := r.GaugeVec("dwatch_slo_burn_rate",
 			"Error-budget burn rate over the fast/slow window (1.0 = budget consumed exactly at the sustainable pace).",
 			"env", "window")
-		burn.Func(t.burnFunc(func() int { return t.fast }), env, "fast")
-		burn.Func(t.burnFunc(func() int { return t.slow }), env, "slow")
+		burn.Attach(nil, t.burnFunc(func() int { return t.fast }), env, "fast")
+		burn.Attach(nil, t.burnFunc(func() int { return t.slow }), env, "slow")
 	}
 	return t
 }

@@ -19,6 +19,11 @@ const (
 // from StartSpan at the top of a stage and call End (or EndAt with an
 // explicit clock) when the stage completes. The zero Span is a valid
 // no-op recorder.
+//
+// StartSpan resolves the stage's SpanFamily child on every call, which
+// suits occasional stages (a reconnect backoff). A hot path owns its
+// stage histograms instead and attaches them to the family with
+// HistogramVec.Attach, as the pipeline does.
 type Span struct {
 	h     *Histogram
 	start time.Time
@@ -36,13 +41,18 @@ func (r *Registry) StartSpan(stage string) Span {
 // fake-clock tests, or stages whose start predates the call, like
 // sequence assembly that begins when the first report arrives).
 func (r *Registry) StartSpanAt(stage string, start time.Time) Span {
-	sp := Span{start: start}
-	if r != nil {
-		sp.h = r.HistogramVec(SpanFamily,
-			"Per-stage processing latency in seconds.",
-			stats.LatencyBounds(), "stage").With(stage)
-	}
-	return sp
+	return Span{h: r.Spans().With(stage), start: start}
+}
+
+// Spans returns the SpanFamily histogram vector, one child per stage.
+func (r *Registry) Spans() *HistogramVec {
+	return r.HistogramVec(SpanFamily, "Per-stage processing latency in seconds.",
+		stats.LatencyBounds(), "stage")
+}
+
+// Events returns the EventFamily counter vector, one child per event.
+func (r *Registry) Events() *CounterVec {
+	return r.CounterVec(EventFamily, "Count of named events.", "event")
 }
 
 // End records the span against the wall clock and returns the elapsed
@@ -50,8 +60,7 @@ func (r *Registry) StartSpanAt(stage string, start time.Time) Span {
 func (s Span) End() time.Duration { return s.EndAt(time.Now()) }
 
 // EndAt records the span as finishing at now and returns the elapsed
-// duration, so callers can feed the same measurement into legacy
-// digests without re-reading the clock.
+// duration.
 func (s Span) EndAt(now time.Time) time.Duration {
 	d := now.Sub(s.start)
 	if s.h != nil {
@@ -64,8 +73,5 @@ func (s Span) EndAt(now time.Time) time.Duration {
 // of a span, for discrete happenings (evictions, reconnects, state
 // saves) that want a uniform home. No-op on a nil registry.
 func (r *Registry) Event(name string) {
-	if r == nil {
-		return
-	}
-	r.CounterVec(EventFamily, "Count of named events.", "event").With(name).Inc()
+	r.Events().With(name).Inc()
 }

@@ -192,8 +192,7 @@ func (a *assembler) applyBaseline(g *report) {
 	}
 	a.fuserMu.Unlock()
 	if confirm {
-		a.p.c.baselinesConfirmed.Add(1)
-		a.p.ins.baselineConfirmed(g.reader)
+		a.p.m.readers[g.reader].baselines.Inc()
 		if l := a.p.cfg.Logger; l != nil {
 			l.Info("baseline confirmed", "reader", g.reader, "tags", len(g.spectra))
 		}
@@ -282,8 +281,7 @@ func (s *shard) accept(g *report) {
 	_, exists := s.online[g.seq]
 	s.mu.Unlock()
 	if dup {
-		a.p.c.lateReports.Add(1)
-		a.p.ins.lateReport()
+		a.p.m.late.Inc()
 		return
 	}
 	if !exists {
@@ -297,8 +295,7 @@ func (s *shard) accept(g *report) {
 		// A cap eviction driven from another shard can have evicted
 		// g.seq's existing group while the lock was dropped — recheck.
 		s.mu.Unlock()
-		a.p.c.lateReports.Add(1)
-		a.p.ins.lateReport()
+		a.p.m.late.Inc()
 		return
 	}
 	grp := s.online[g.seq]
@@ -329,11 +326,10 @@ func (s *shard) takeIfReady(seq uint32, grp *seqGroup) (ready, degraded bool) {
 	a.pending.Add(-1)
 	now := a.p.now()
 	s.done[seq] = now
-	a.p.c.sequencesAssembled.Add(1)
-	a.p.ins.sequenceAssembled()
+	a.p.m.assembled.Inc()
 	// The assemble span runs from the group's creation (first report
 	// of the sequence) to completion: cross-reader skew, not CPU time.
-	a.p.ins.span(stageAssemble, grp.created).EndAt(now)
+	a.p.m.assemble.ObserveDuration(now.Sub(grp.created))
 	a.p.cfg.Tracer.Active(seq).Span(tracing.StageAssemble, "", "", grp.created, now, 0)
 	return true, degraded
 }
@@ -417,7 +413,6 @@ func (s *shard) reevaluate() {
 // shard lock held; the fuser is read-locked for view building only.
 func (a *assembler) fuse(seq uint32, grp *seqGroup, degraded bool) {
 	start := a.p.now()
-	span := a.p.ins.span(stageFuse, start)
 	trc := a.p.cfg.Tracer.Active(seq)
 	if degraded {
 		trc.MarkDegraded()
@@ -454,7 +449,7 @@ func (a *assembler) fuse(seq uint32, grp *seqGroup, degraded bool) {
 		fix.Confidence = res.Confidence
 	}
 	end := a.p.now()
-	a.p.fuseHist.ObserveDuration(span.EndAt(end))
+	a.p.m.fuse.ObserveDuration(end.Sub(start))
 	trc.Span(tracing.StageFuse, "", "", start, end, 0)
 	outcome := tracing.OutcomeFix
 	if fix.Err != nil {
@@ -462,15 +457,14 @@ func (a *assembler) fuse(seq uint32, grp *seqGroup, degraded bool) {
 		trc.Event(tracing.EventMiss, fix.Err.Error(), end)
 	}
 	a.p.cfg.Tracer.Finish(seq, outcome, end)
-	if fix.Err != nil {
-		a.p.c.misses.Add(1)
-	} else {
-		a.p.c.fixes.Add(1)
-		if degraded {
-			a.p.c.degradedFixes.Add(1)
-		}
+	switch {
+	case fix.Err != nil:
+		a.p.m.fixMiss.Inc()
+	case degraded:
+		a.p.m.fixDegraded.Inc()
+	default:
+		a.p.m.fixFull.Inc()
 	}
-	a.p.ins.fix(fix.Err == nil, degraded)
 	// Subscribers see every outcome before the channel send, so a
 	// slow Fixes consumer cannot starve the live position feed.
 	for _, fn := range a.p.fixSubs {
@@ -548,8 +542,7 @@ func (s *shard) sweep(now time.Time) int {
 	}
 	s.mu.Unlock()
 	for _, ev := range evs {
-		a.p.c.sequencesEvicted.Add(1)
-		a.p.ins.sequenceEvicted("ttl")
+		a.p.m.evictedTTL.Inc()
 		trc := a.p.cfg.Tracer.Active(ev.seq)
 		trc.Event(tracing.EventTTLEvicted,
 			fmt.Sprintf("%d/%d readers after %v", len(ev.grp.byReader), a.p.cfg.ExpectReaders, now.Sub(ev.grp.created)), now)
@@ -619,8 +612,7 @@ func (s *shard) evictCap(seq uint32) {
 	now := a.p.now()
 	s.done[seq] = now
 	s.mu.Unlock()
-	a.p.c.sequencesEvicted.Add(1)
-	a.p.ins.sequenceEvicted("cap")
+	a.p.m.evictedCap.Inc()
 	trc := a.p.cfg.Tracer.Active(seq)
 	trc.Event(tracing.EventCapEvicted,
 		fmt.Sprintf("pending over %d", a.p.cfg.MaxPendingSeqs), now)

@@ -57,7 +57,6 @@ import (
 	"dwatch/internal/obs"
 	"dwatch/internal/pmusic"
 	"dwatch/internal/rf"
-	"dwatch/internal/stats"
 	"dwatch/internal/tracing"
 )
 
@@ -144,13 +143,14 @@ type Config struct {
 	// set changes. Nil preserves the strict ExpectReaders gate.
 	LiveReaders func() []string
 
-	// Obs, when set, attaches the pipeline to a metrics registry: the
-	// flow counters feed labeled counter families incrementally, queue
-	// depth and pending sequences become live gauges, and each stage
-	// (ingest, spectrum, assemble, fuse) records an obs span — the
-	// seam the internal/serve observability plane scrapes while the
-	// pipeline runs. Nil disables instrumentation at zero cost beyond
-	// one nil check per counter site.
+	// Obs, when set, attaches the pipeline's own metric values (the
+	// ones Stats reads: flow counters and the ingest, spectrum,
+	// assemble and fuse stage histograms) to the registry's families,
+	// plus live queue-depth and pending-sequence gauges — the seam the
+	// internal/serve observability plane scrapes while the pipeline
+	// runs. Events are counted once either way; teardown releases the
+	// values from the registry, folding their counts into it. Nil
+	// leaves the pipeline off every registry.
 	Obs *obs.Registry
 
 	// Tracer, when set, records a per-sequence trace: a trace ID is
@@ -265,18 +265,12 @@ type Pipeline struct {
 	mu     sync.Mutex
 	rounds map[string]int
 
-	c counters
-	// ins mirrors the counters onto the attached obs.Registry (nil
-	// when Config.Obs is unset — every method is then a no-op).
-	ins *instruments
+	m metrics
 	// fixSubs are invoked for every fix before the channel send;
 	// registration is only allowed before Start. With more than one
 	// assembler shard, callbacks for different sequences may run
 	// concurrently and must be safe for that.
 	fixSubs []func(Fix)
-
-	decodeHist *stats.Histogram
-	fuseHist   *stats.Histogram
 
 	// compute and now are test seams. compute is nil in production:
 	// each worker then decodes and runs P-MUSIC through its own
@@ -301,20 +295,19 @@ func newFromConfig(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		cfg:        cfg,
-		jobs:       make(chan job, cfg.QueueSize),
-		fixes:      make(chan Fix, 64),
-		stop:       make(chan struct{}),
-		rounds:     map[string]int{},
-		decodeHist: stats.NewHistogram(stats.LatencyBounds()),
-		fuseHist:   stats.NewHistogram(stats.LatencyBounds()),
-		now:        time.Now,
+		cfg:    cfg,
+		jobs:   make(chan job, cfg.QueueSize),
+		fixes:  make(chan Fix, 64),
+		stop:   make(chan struct{}),
+		rounds: map[string]int{},
+		now:    time.Now,
 	}
 	p.asm = newAssembler(p, dwatch.NewFuser(cfg.Arrays, cfg.Fuser))
 	if cfg.OnFix != nil {
 		p.fixSubs = append(p.fixSubs, cfg.OnFix)
 	}
-	p.ins = newInstruments(cfg.Obs, p)
+	p.m.init(cfg.Arrays)
+	p.m.attach(cfg.Obs, p)
 	return p, nil
 }
 
@@ -378,12 +371,10 @@ func (p *Pipeline) Ingest(rep *llrp.ROAccessReport) error {
 	}
 	arr := p.cfg.Arrays[rep.ReaderID]
 	if arr == nil {
-		p.c.reportsRejected.Add(1)
-		p.ins.reportRejected()
+		p.m.rejected.Inc()
 		return fmt.Errorf("%w %q", ErrUnknownReader, rep.ReaderID)
 	}
-	p.c.reportsIn.Add(1)
-	p.ins.reportAccepted(rep.ReaderID)
+	p.m.readers[rep.ReaderID].reports.Inc()
 
 	p.mu.Lock()
 	round := p.rounds[rep.ReaderID]
@@ -408,7 +399,6 @@ func (p *Pipeline) Ingest(rep *llrp.ROAccessReport) error {
 	// The ingest span covers validation-to-enqueued, including any
 	// backpressure wait under the Block policy — that wait is the
 	// signal the span exists to surface.
-	sp := p.ins.span(stageIngest, now)
 	err := p.enqueue(job{
 		reader: rep.ReaderID,
 		arr:    arr,
@@ -420,15 +410,10 @@ func (p *Pipeline) Ingest(rep *llrp.ROAccessReport) error {
 	if err != nil {
 		return err
 	}
-	p.c.snapshotsIn.Add(uint64(len(rep.Reports)))
-	p.ins.snapshotsEnqueued(len(rep.Reports))
-	if p.ins != nil || trc != nil {
-		end := p.now()
-		if p.ins != nil {
-			sp.EndAt(end)
-		}
-		trc.Span(tracing.StageIngest, rep.ReaderID, "", now, end, 0)
-	}
+	p.m.snapshots.Add(uint64(len(rep.Reports)))
+	end := p.now()
+	p.m.ingest.ObserveDuration(end.Sub(now))
+	trc.Span(tracing.StageIngest, rep.ReaderID, "", now, end, 0)
 	return nil
 }
 
@@ -458,12 +443,12 @@ func (p *Pipeline) enqueue(j job) error {
 		// will succeed.
 		select {
 		case old := <-p.jobs:
-			p.c.snapshotsDropped.Add(uint64(len(old.tags)))
-			p.ins.snapshotsDropped(len(old.tags))
-			trc := p.cfg.Tracer.Active(old.seq)
-			for _, tr := range old.tags {
-				trc.Event(tracing.EventSnapshotDropped,
-					old.reader+"/"+hex.EncodeToString(tr.EPC), p.now())
+			p.m.snapshotsDropped.Add(uint64(len(old.tags)))
+			if trc := p.cfg.Tracer.Active(old.seq); trc != nil {
+				for _, tr := range old.tags {
+					trc.Event(tracing.EventSnapshotDropped,
+						old.reader+"/"+hex.EncodeToString(tr.EPC), p.now())
+				}
 			}
 			if err := p.asm.submit(&report{
 				reader: old.reader, round: old.round, seq: old.seq,
@@ -492,8 +477,10 @@ func (p *Pipeline) worker() {
 	}
 }
 
-// runJob computes every tag spectrum of one report job, recording a
-// per-tag spectrum span with the queue-wait vs compute split.
+// runJob computes every tag spectrum of one report job, recording each
+// tag's compute time and, when the sequence is traced, a spectrum span
+// with the queue-wait vs compute split. Trace strings are formatted
+// only for a traced sequence.
 func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
 	g := &report{
 		reader: j.reader, round: j.round, seq: j.seq,
@@ -502,23 +489,24 @@ func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
 	trc := p.cfg.Tracer.Active(j.seq)
 	for _, tr := range j.tags {
 		start := p.now()
-		span := p.ins.span(stageSpectrum, start)
 		sp, err := p.computeSnapshot(ws, j.arr, tr.Snapshot)
 		end := p.now()
-		p.decodeHist.ObserveDuration(span.EndAt(end))
-		// The trace span runs from enqueue to completion with the
-		// wait before compute recorded separately, so Compute()
-		// isolates the P-MUSIC cost from backlog-induced latency.
-		trc.Span(tracing.StageSpectrum, j.reader, hex.EncodeToString(tr.EPC),
-			j.enq, end, start.Sub(j.enq))
+		p.m.spectrum.ObserveDuration(end.Sub(start))
+		if trc != nil {
+			// The trace span runs from enqueue to completion with the
+			// wait before compute recorded separately, so Compute()
+			// isolates the P-MUSIC cost from backlog-induced latency.
+			trc.Span(tracing.StageSpectrum, j.reader, hex.EncodeToString(tr.EPC),
+				j.enq, end, start.Sub(j.enq))
+			if err != nil {
+				trc.Event(tracing.EventSpectrumFailed, j.reader+": "+err.Error(), end)
+			}
+		}
 		if err != nil {
-			p.c.spectraFailed.Add(1)
-			p.ins.spectrum(false)
-			trc.Event(tracing.EventSpectrumFailed, j.reader+": "+err.Error(), end)
+			p.m.spectraFailed.Inc()
 			continue
 		}
-		p.c.spectraComputed.Add(1)
-		p.ins.spectrum(true)
+		p.m.spectraOK.Inc()
 		g.spectra[string(tr.EPC)] = sp
 	}
 	return g
@@ -552,9 +540,9 @@ func (p *Pipeline) computeSnapshot(ws map[*rf.Array]*pmusic.Workspace, arr *rf.A
 }
 
 // teardown runs the ordered shutdown exactly once: stop the intake,
-// flush the workers, flush the shards, close the output. Safe to call
-// from both Drain and Close; the second caller blocks until the first
-// finishes.
+// flush the workers, flush the shards, close the output, and release
+// the metric values from the registry. Safe to call from both Drain
+// and Close; the second caller blocks until the first finishes.
 func (p *Pipeline) teardown() {
 	p.teardownOnce.Do(func() {
 		close(p.jobs)
@@ -565,6 +553,7 @@ func (p *Pipeline) teardown() {
 		p.asm.shardWG.Wait()
 		close(p.asm.shardsStopped)
 		close(p.fixes)
+		p.m.own.Release()
 	})
 }
 
@@ -580,7 +569,8 @@ func (p *Pipeline) Drain() {
 }
 
 // Close aborts the pipeline immediately: in-flight work is abandoned.
-// Safe to call after Drain (it is then a no-op beyond bookkeeping).
+// Safe to call after Drain (it is then a no-op beyond bookkeeping). On
+// a never-started pipeline it only releases the metric values.
 func (p *Pipeline) Close() {
 	p.closeOnce.Do(func() {
 		// Unblock parked producers and stages first, then wait for
@@ -589,16 +579,15 @@ func (p *Pipeline) Close() {
 		p.markClosed()
 		if p.started.Load() {
 			p.teardown()
+		} else {
+			p.m.own.Release()
 		}
 	})
 }
 
-// markClosed flips the closed flag once no Ingest is mid-send and
-// reports whether it was already set.
-func (p *Pipeline) markClosed() bool {
+// markClosed flips the closed flag once no Ingest is mid-send.
+func (p *Pipeline) markClosed() {
 	p.ingestMu.Lock()
 	defer p.ingestMu.Unlock()
-	already := p.closed
 	p.closed = true
-	return already
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -128,6 +129,35 @@ func (h *Histogram) Buckets() Buckets {
 		Sum:    h.sum,
 		Count:  h.n,
 	}
+}
+
+// Merge adds o's samples to h as if h had observed them (the sum up to
+// addition order). It never holds both locks. Both must share one
+// bucket layout; Merge panics otherwise.
+func (h *Histogram) Merge(o *Histogram) {
+	if !slices.Equal(h.bounds, o.bounds) {
+		panic("stats: merging histograms with different bounds")
+	}
+	o.mu.Lock()
+	counts := append([]uint64(nil), o.counts...)
+	sum, lo, hi, n := o.sum, o.min, o.max, o.n
+	o.mu.Unlock()
+	if n == 0 {
+		return
+	}
+	h.mu.Lock()
+	for i, c := range counts {
+		h.counts[i] += c
+	}
+	h.sum += sum
+	if h.n == 0 || lo < h.min {
+		h.min = lo
+	}
+	if h.n == 0 || hi > h.max {
+		h.max = hi
+	}
+	h.n += n
+	h.mu.Unlock()
 }
 
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1).

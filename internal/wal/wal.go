@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"dwatch/internal/obs"
+	"dwatch/internal/stats"
 )
 
 // FsyncPolicy selects when appends are forced to stable storage.
@@ -233,23 +234,13 @@ type WAL struct {
 	buf        []byte
 	isClosed   bool
 
-	// Recovery findings, fixed at Open.
-	recovered      int
-	truncatedBytes int64
-	damage         *Damage
-
-	// Counters mirrored into Status and (when attached) obs.
-	appended   uint64
-	appendedB  uint64
-	syncs      uint64
-	rotations  uint64
-	deleted    uint64
+	damage     *Damage // recovery finding, fixed at Open
 	lastAppend time.Time
+
+	m metrics
 
 	stopSync chan struct{}
 	syncWG   sync.WaitGroup
-
-	ins *instruments
 }
 
 // Open opens (creating if needed) the WAL in dir and recovers it: all
@@ -278,6 +269,7 @@ func Open(dir string, opts ...Option) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{dir: dir, opts: o, stopSync: make(chan struct{})}
+	w.m.appendLatency = obs.NewHistogram(stats.LatencyBounds())
 
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -290,7 +282,7 @@ func Open(dir string, opts ...Option) (*WAL, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.recovered += res.records
+		w.m.recovered.Add(uint64(res.records))
 		if res.records > 0 {
 			lastSeq = res.lastSeq
 		}
@@ -303,7 +295,7 @@ func Open(dir string, opts ...Option) (*WAL, error) {
 			if err := os.Truncate(path, res.goodOffset); err != nil {
 				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", name, err)
 			}
-			w.truncatedBytes += size - res.goodOffset
+			w.m.truncated.Add(uint64(size - res.goodOffset))
 			w.damage = res.dmg
 			size = res.goodOffset
 			w.logf("wal: truncated torn tail", "segment", name, "offset", res.goodOffset, "reason", res.dmg.Reason)
@@ -329,11 +321,11 @@ func Open(dir string, opts ...Option) (*WAL, error) {
 		return nil, err
 	}
 
-	if w.recovered > 0 || w.truncatedBytes > 0 {
-		w.logf("wal: recovered", "records", w.recovered, "next_seq", w.nextSeq,
-			"segments", len(w.closed)+1, "truncated_bytes", w.truncatedBytes)
+	if rec, tr := w.m.recovered.Value(), w.m.truncated.Value(); rec > 0 || tr > 0 {
+		w.logf("wal: recovered", "records", rec, "next_seq", w.nextSeq,
+			"segments", len(w.closed)+1, "truncated_bytes", tr)
 	}
-	w.ins = newInstruments(o.reg, w)
+	w.m.attach(o.reg, w)
 
 	if o.fsync == FsyncInterval {
 		w.syncWG.Add(1)
@@ -437,15 +429,14 @@ func (w *WAL) Append(at time.Time, typ uint16, payload []byte) (uint64, error) {
 		if err := w.f.Sync(); err != nil {
 			return 0, fmt.Errorf("wal: fsync: %w", err)
 		}
-		w.syncs++
-		w.ins.fsync()
+		w.m.fsyncs.Inc()
 	}
 	w.nextSeq++
 	w.activeSize += recLen
-	w.appended++
-	w.appendedB += uint64(recLen)
 	w.lastAppend = w.opts.now()
-	w.ins.append(w.opts.now().Sub(start), recLen)
+	w.m.appends.Inc()
+	w.m.appendedBytes.Add(uint64(recLen))
+	w.m.appendLatency.ObserveDuration(w.lastAppend.Sub(start))
 	return seq, nil
 }
 
@@ -455,15 +446,13 @@ func (w *WAL) rotateLocked() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("wal: rotate sync: %w", err)
 	}
-	w.syncs++
-	w.ins.fsync()
+	w.m.fsyncs.Inc()
 	if err := w.f.Close(); err != nil {
 		return err
 	}
 	sealed := w.active
 	w.closed = append(w.closed, segInfo{name: sealed, bytes: w.activeSize, mtime: w.opts.now()})
-	w.rotations++
-	w.ins.rotate()
+	w.m.rotations.Inc()
 	if err := w.openActive(segmentName(w.nextSeq), 0); err != nil {
 		return err
 	}
@@ -497,8 +486,7 @@ func (w *WAL) enforceRetentionLocked() {
 			return
 		}
 		w.closed = w.closed[1:]
-		w.deleted++
-		w.ins.retentionDelete()
+		w.m.deletes.Inc()
 		w.logf("wal: retention deleted segment", "segment", oldest.name)
 	}
 }
@@ -514,8 +502,7 @@ func (w *WAL) Sync() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.syncs++
-	w.ins.fsync()
+	w.m.fsyncs.Inc()
 	return nil
 }
 
@@ -536,7 +523,8 @@ func (w *WAL) syncLoop() {
 	}
 }
 
-// Close syncs and closes the log. Further Appends fail.
+// Close syncs and closes the log and releases its metric values from
+// the registry. Further Appends fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.isClosed {
@@ -547,12 +535,12 @@ func (w *WAL) Close() error {
 	close(w.stopSync)
 	syncErr := w.f.Sync()
 	if syncErr == nil {
-		w.syncs++
-		w.ins.fsync()
+		w.m.fsyncs.Inc()
 	}
 	closeErr := w.f.Close()
 	w.mu.Unlock()
 	w.syncWG.Wait()
+	w.m.own.Release()
 	if syncErr != nil {
 		return syncErr
 	}
@@ -596,13 +584,13 @@ func (w *WAL) Status() Status {
 		ActiveSegment: w.active,
 		Bytes:         total,
 		NextSeq:       w.nextSeq,
-		Appended:      w.appended,
-		AppendedBytes: w.appendedB,
-		Fsyncs:        w.syncs,
-		Rotations:     w.rotations,
-		Deleted:       w.deleted,
-		Recovered:     w.recovered,
-		Truncated:     w.truncatedBytes,
+		Appended:      w.m.appends.Value(),
+		AppendedBytes: w.m.appendedBytes.Value(),
+		Fsyncs:        w.m.fsyncs.Value(),
+		Rotations:     w.m.rotations.Value(),
+		Deleted:       w.m.deletes.Value(),
+		Recovered:     int(w.m.recovered.Value()),
+		Truncated:     int64(w.m.truncated.Value()),
 		Damage:        w.damage,
 		LastAppend:    w.lastAppend,
 	}
